@@ -1,16 +1,17 @@
 /**
  * @file
- * Host-dispatch microbench: tree-walk vs execution-plan replay, raw
- * vs optimized plan.
+ * Host-dispatch microbench: tree-walk oracle vs execution-plan replay,
+ * raw vs optimized plan.
  *
  * Two legs:
  *
  *  1. A fixed kNN kernel (64 x 512, euclidean, k=1) compared across
- *     the tree-walking interpreter, raw plan replay and optimized
- *     plan replay. This leg shows the plan-vs-tree-walk win in a real
- *     kernel, but its wall clock is dominated by the simulated CAM
- *     device, so the optimizer's host-side effect is mostly hidden
- *     here -- it is reported, not gated.
+ *     the tree-walk oracle (tests/common/TreeWalkOracle.h), raw plan
+ *     replay (rt::ExecutionPlan::compile) and optimized plan replay.
+ *     This leg shows the plan-vs-tree-walk win in a real kernel, but
+ *     its wall clock is dominated by the simulated CAM device, so the
+ *     optimizer's host-side effect is mostly hidden here -- it is
+ *     reported, not gated.
  *
  *  2. A dispatch-dominated index-arithmetic loop (the single-use
  *     temporary chains that address computations lower to), built as
@@ -38,9 +39,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "BenchUtils.h"
+#include "TreeWalkOracle.h"
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
@@ -150,46 +153,29 @@ main(int argc, char **argv)
 
     const std::string source = apps::knnEuclideanSource(1, rows, dims, 1);
 
-    core::CompilerOptions opt_options;
-    opt_options.spec = spec;
-    core::CompilerOptions raw_options = opt_options;
-    raw_options.optimizePlans = false;
-    core::CompilerOptions walk_options = opt_options;
-    walk_options.treeWalkExecution = true;
+    core::CompilerOptions options;
+    options.spec = spec;
+    core::Compiler compiler(options);
+    core::CompiledKernel kernel = compiler.compileTorchScript(source);
+    const ir::Module &module = std::as_const(kernel).module();
 
-    core::Compiler opt_compiler(opt_options);
-    core::CompiledKernel opt_kernel =
-        opt_compiler.compileTorchScript(source);
-    core::Compiler raw_compiler(raw_options);
-    core::CompiledKernel raw_kernel =
-        raw_compiler.compileTorchScript(source);
-    core::Compiler walk_compiler(walk_options);
-    core::CompiledKernel walk_kernel =
-        walk_compiler.compileTorchScript(source);
+    // The raw plan: the unoptimized transcription of the module the
+    // kernel replays optimized.
+    std::shared_ptr<const rt::ExecutionPlan> raw_plan =
+        rt::ExecutionPlan::compile(module, kernel.entryPoint());
+
+    core::ExecutionSession opt_session =
+        kernel.createSession({query, stored_buf});
+    core::ExecutionSession raw_session(nullptr, module, options,
+                                       kernel.entryPoint(),
+                                       {query, stored_buf}, raw_plan);
+    oracle::TreeWalkSession walk_session(kernel, options,
+                                         {query, stored_buf});
 
     // Executed-instruction count of one RAW query replay: the shared
     // ns/op denominator (see the file comment). The timed loop replays
     // the QueryOnly program, so count QueryOnly instructions -- a Full
     // replay would also count the setup prologue.
-    std::shared_ptr<const rt::ExecutionPlan> raw_plan =
-        raw_kernel.executionPlan();
-    if (!raw_plan || !opt_kernel.executionPlan()) {
-        std::fprintf(stderr, "FAIL: kernel has no execution plan\n");
-        return 1;
-    }
-
-    core::ExecutionSession opt_session =
-        opt_kernel.createSession({query, stored_buf});
-    core::ExecutionSession raw_session =
-        raw_kernel.createSession({query, stored_buf});
-    core::ExecutionSession walk_session =
-        walk_kernel.createSession({query, stored_buf});
-    if (!opt_session.usesPlan() || !raw_session.usesPlan() ||
-        walk_session.usesPlan()) {
-        std::fprintf(stderr, "FAIL: session back ends misconfigured\n");
-        return 1;
-    }
-
     std::uint64_t ops_per_query = 0;
     {
         rt::PlanFrame probe = raw_plan->makeFrame();

@@ -24,12 +24,13 @@
  * the 4-worker engine does not beat the serial session by > 1.5x in
  * wall-clock queries/sec.
  *
- * --plan-vs-treewalk switches to the execution-back-end gate: the
- * same stream is served through a tree-walking session and a
- * plan-replaying session (a dispatch-heavy kNN kernel, see the mode
- * for why). The bench exits non-zero unless (a) plan replay is >= 3x
- * faster in host wall-clock, (b) every per-query simulated PerfReport
- * is bit-identical between the two back ends, and (c) fused-batch
+ * --plan-vs-treewalk switches to the plan-replay gate: the same
+ * stream is served through the tree-walk oracle
+ * (tests/common/TreeWalkOracle.h) and a plan-replaying session (a
+ * dispatch-heavy kNN kernel, see the mode for why). The bench exits
+ * non-zero unless (a) plan replay is >= 3x faster in host wall-clock,
+ * (b) every per-query simulated PerfReport is bit-identical between
+ * the two executors, and (c) fused-batch
  * (runFusedBatch) totals equal the sum of the corresponding serial
  * query windows exactly.
  *
@@ -125,6 +126,7 @@
 #include <vector>
 
 #include "BenchUtils.h"
+#include "TreeWalkOracle.h"
 #include "apps/Workloads.h"
 #include "core/AsyncServingEngine.h"
 #include "core/Compiler.h"
@@ -182,17 +184,10 @@ runPlanVsTreeWalk(long num_queries, bench::JsonOut &jout)
     spec.bitsPerCell = 2;
     const std::string source = apps::knnEuclideanSource(1, rows, dims, 1);
 
-    core::CompilerOptions plan_options;
-    plan_options.spec = spec;
-    core::CompilerOptions walk_options = plan_options;
-    walk_options.treeWalkExecution = true;
-
-    core::Compiler plan_compiler(plan_options);
-    core::CompiledKernel plan_kernel =
-        plan_compiler.compileTorchScript(source);
-    core::Compiler walk_compiler(walk_options);
-    core::CompiledKernel walk_kernel =
-        walk_compiler.compileTorchScript(source);
+    core::CompilerOptions options;
+    options.spec = spec;
+    core::Compiler compiler(options);
+    core::CompiledKernel kernel = compiler.compileTorchScript(source);
 
     Rng rng(29);
     std::vector<std::vector<float>> stored(
@@ -213,16 +208,14 @@ runPlanVsTreeWalk(long num_queries, bench::JsonOut &jout)
 
     // Warm-up runs stay outside the timed windows (first-touch
     // allocations, page faults); the gate compares steady state.
-    core::ExecutionSession walk_session =
-        walk_kernel.createSession(batches[0]);
+    oracle::TreeWalkSession walk_session(kernel, options, batches[0]);
     walk_session.runQuery(batches[0]);
     Clock::time_point start = Clock::now();
     std::vector<core::ExecutionResult> walk_results =
         walk_session.runBatch(batches);
     double walk_s = secondsSince(start);
 
-    core::ExecutionSession plan_session =
-        plan_kernel.createSession(batches[0]);
+    core::ExecutionSession plan_session = kernel.createSession(batches[0]);
     plan_session.runQuery(batches[0]);
     start = Clock::now();
     std::vector<core::ExecutionResult> plan_results =
@@ -260,8 +253,7 @@ runPlanVsTreeWalk(long num_queries, bench::JsonOut &jout)
 
     // (c) fused batching: totals must equal the sum of the serial
     // windows exactly, for K=4 chunks over a fresh session.
-    core::ExecutionSession fused_session =
-        plan_kernel.createSession(batches[0]);
+    core::ExecutionSession fused_session = kernel.createSession(batches[0]);
     const std::size_t fused_k = 4;
     std::size_t fused_chunks = 0;
     for (std::size_t begin = 0; begin + fused_k <= batches.size();

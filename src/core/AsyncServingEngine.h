@@ -219,9 +219,9 @@ class AsyncServingEngine
         std::function<void(ExecutionResult result, std::exception_ptr error)>;
 
     /**
-     * Take ownership of any synchronous backend (a ServingEngine, a
-     * SingleSessionBackend, a ShardedEngine, ...) and put the bounded
-     * queue + dispatchers in front of it. Prefer
+     * Take ownership of any synchronous backend (a ServingEngine or a
+     * ShardedEngine) and put the bounded queue + dispatchers in front
+     * of it. Prefer
      * CompiledKernel::createAsyncServingEngine() for the common
      * replica-pool case.
      */

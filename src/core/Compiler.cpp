@@ -15,7 +15,8 @@
 #include "passes/CimToLoops.h"
 #include "passes/TorchToCim.h"
 #include "runtime/ExecutionPlan.h"
-#include "runtime/Interpreter.h"
+#include "runtime/PlanOptimizer.h"
+#include "sim/CamDevice.h"
 #include "support/Error.h"
 
 namespace c4cam::core {
@@ -39,28 +40,15 @@ CompiledKernel::CompiledKernel(std::shared_ptr<ir::Context> ctx,
 }
 
 std::shared_ptr<const rt::ExecutionPlan>
-tryCompilePlan(const ir::Module &module, const std::string &entry,
-               const CompilerOptions &options, std::string *cache_key)
+compilePlan(const ir::Module &module, const std::string &entry,
+            const CompilerOptions &options, std::string *cache_key)
 {
-    if (options.treeWalkExecution)
-        return nullptr;
     std::string key = PlanCache::makeKey(module, entry, options);
     if (cache_key)
         *cache_key = key;
     return PlanCache::instance().getOrCompile(key, [&] {
-        // A module the plan compiler cannot handle falls back to the
-        // tree walk -- same op vocabulary, so this only happens for
-        // ops the interpreter would reject at runtime too.
-        try {
-            std::shared_ptr<const rt::ExecutionPlan> plan =
-                rt::ExecutionPlan::compile(module, entry);
-            if (options.optimizePlans && options.planOpt.anyEnabled())
-                plan = rt::PlanOptimizer::optimize(*plan,
-                                                   options.planOpt);
-            return plan;
-        } catch (const CompilerError &) {
-            return std::shared_ptr<const rt::ExecutionPlan>();
-        }
+        return rt::PlanOptimizer::optimize(
+            *rt::ExecutionPlan::compile(module, entry));
     });
 }
 
@@ -76,7 +64,6 @@ CompiledKernel::module()
         planCacheKey_.clear();
     }
     plan_stream_.reset();
-    planCompileFailed_ = false;
     return module_;
 }
 
@@ -86,12 +73,8 @@ CompiledKernel::executionPlan()
     // Compiled once (re-compiled lazily after mutable module() access
     // so IR rewrites are picked up) and shared by
     // run()/sessions/engines.
-    if (!plan_stream_ && !planCompileFailed_ &&
-        !options_.treeWalkExecution) {
-        plan_stream_ =
-            tryCompilePlan(module_, entry_, options_, &planCacheKey_);
-        planCompileFailed_ = plan_stream_ == nullptr;
-    }
+    if (!plan_stream_)
+        plan_stream_ = compilePlan(module_, entry_, options_, &planCacheKey_);
     return plan_stream_;
 }
 
@@ -119,40 +102,19 @@ validateKernelArgs(ir::Block *body, const std::string &entry,
 }
 
 ExecutionResult
-runKernelOnce(ir::Module &module, const std::string &entry,
-              const CompilerOptions &options,
-              const std::vector<rt::BufferPtr> &args,
-              const rt::ExecutionPlan *plan)
+runKernelOnce(const rt::ExecutionPlan &plan, const CompilerOptions &options,
+              const std::vector<rt::BufferPtr> &args)
 {
     ExecutionResult result;
-    std::vector<rt::RtValue> rt_args;
-    rt_args.reserve(args.size());
-    for (const rt::BufferPtr &arg : args)
-        rt_args.emplace_back(arg);
-
-    if (options.treeWalkExecution)
-        plan = nullptr;
-
+    rt::PlanFrame frame = plan.makeFrame();
     if (options.hostOnly) {
-        if (plan) {
-            rt::PlanFrame frame = plan->makeFrame();
-            result.outputs = plan->run(frame, nullptr, rt_args);
-        } else {
-            rt::Interpreter interpreter(module, nullptr);
-            result.outputs = interpreter.callFunction(entry, rt_args);
-        }
+        result.outputs = plan.run(frame, nullptr, rt::toRtValues(args));
         return result;
     }
 
     sim::CamDevice device(options.spec);
     device.setFusionModel(options.fusionModel);
-    if (plan) {
-        rt::PlanFrame frame = plan->makeFrame();
-        result.outputs = plan->run(frame, &device, rt_args);
-    } else {
-        rt::Interpreter interpreter(module, &device);
-        result.outputs = interpreter.callFunction(entry, rt_args);
-    }
+    result.outputs = plan.run(frame, &device, rt::toRtValues(args));
     result.perf = device.report();
     result.perf.queriesServed = 1;
     return result;
@@ -161,8 +123,7 @@ runKernelOnce(ir::Module &module, const std::string &entry,
 ExecutionResult
 CompiledKernel::run(const std::vector<rt::BufferPtr> &args)
 {
-    return runKernelOnce(module_, entry_, options_, args,
-                         executionPlan().get());
+    return runKernelOnce(*executionPlan(), options_, args);
 }
 
 ExecutionSession

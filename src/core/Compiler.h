@@ -27,7 +27,6 @@
 #include "ir/Pass.h"
 #include "passes/CamMapping.h"
 #include "runtime/Buffer.h"
-#include "runtime/PlanOptimizer.h"
 #include "sim/Timing.h"
 
 namespace c4cam::rt {
@@ -49,25 +48,6 @@ struct CompilerOptions
     bool timePasses = false;
     /** Dump IR after every pass (collected in CompiledKernel::dumps). */
     bool dumpIntermediates = false;
-    /**
-     * Execute through the tree-walking interpreter instead of the
-     * compiled ExecutionPlan. Plans are the default (compile the
-     * lowered module once, replay a slot-based instruction stream per
-     * query); the tree walk is retained for differential testing --
-     * outputs and simulated PerfReports are bit-identical between the
-     * two back ends.
-     */
-    bool treeWalkExecution = false;
-    /**
-     * Run the rt::PlanOptimizer pass pipeline over compiled plans
-     * (constant folding, subview hoisting, superop fusion, dead-slot
-     * elimination -- see runtime/PlanOptimizer.h). Off = the raw 1:1
-     * transcription of the lowered IR, kept for differential testing
-     * (CLI: c4cam-run --no-plan-opt).
-     */
-    bool optimizePlans = true;
-    /** Per-pass toggles, honored when optimizePlans is set. */
-    rt::PlanOptOptions planOpt;
     /**
      * How fused multi-query windows charge the simulated device (see
      * sim::FusionModel). ExactSerial (default) keeps fused totals
@@ -103,19 +83,15 @@ class AsyncServingEngine;
 struct AsyncServingOptions;
 
 /**
- * Execute @p entry of @p module once on fresh state: a new CamDevice
- * for the device path, host interpretation when @p options.hostOnly.
- * Shared by CompiledKernel::run() and non-persistent sessions so the
- * two paths cannot diverge in accounting. Thread-safe: every call
- * builds its own device and ExecutionState/PlanFrame; the module is
- * only read. When @p plan is non-null (and tree-walk execution is not
- * forced), the call replays the plan instead of walking the IR --
- * same outputs, same accounting, a fraction of the host time.
+ * Execute @p plan once on fresh state: a new CamDevice for the device
+ * path, host replay when @p options.hostOnly. Shared by
+ * CompiledKernel::run() and non-persistent sessions so the two paths
+ * cannot diverge in accounting. Thread-safe: every call builds its own
+ * device and PlanFrame; the plan is immutable.
  */
-ExecutionResult runKernelOnce(ir::Module &module, const std::string &entry,
+ExecutionResult runKernelOnce(const rt::ExecutionPlan &plan,
                               const CompilerOptions &options,
-                              const std::vector<rt::BufferPtr> &args,
-                              const rt::ExecutionPlan *plan = nullptr);
+                              const std::vector<rt::BufferPtr> &args);
 
 /**
  * Validate @p args against the signature of kernel entry block
@@ -127,21 +103,21 @@ void validateKernelArgs(ir::Block *body, const std::string &entry,
                         const std::vector<rt::BufferPtr> &args);
 
 /**
- * The one plan-or-tree-walk policy, shared by CompiledKernel,
- * ExecutionSession and ServingEngine: compile @p entry of @p module
- * into an ExecutionPlan unless tree-walk execution is forced, falling
- * back to nullptr (= tree walk) when the module is outside the plan
- * compiler's vocabulary. Every call goes through the process-wide
- * PlanCache (see core/PlanCache.h), so sessions, serving replicas,
- * equal-slice shards and DSE candidates compiling the same (module,
- * entry, options) shape pay the compile -- and the optimizer pipeline
- * -- exactly once. @p cache_key, when non-null, receives the cache key
- * used (for later invalidation).
+ * Compile @p entry of @p module into an optimized ExecutionPlan: the
+ * one compile path shared by CompiledKernel, ExecutionSession and
+ * ServingEngine. Throws the located CompilerError of
+ * rt::ExecutionPlan::compile (op, function, nearest mnemonic) when the
+ * module is outside the executable vocabulary. Every call goes through
+ * the process-wide PlanCache (see core/PlanCache.h), so sessions,
+ * serving replicas, equal-slice shards and DSE candidates compiling
+ * the same (module, entry, options) shape pay the compile -- and the
+ * optimizer pipeline -- exactly once. @p cache_key, when non-null,
+ * receives the cache key used (for later invalidation).
  */
 std::shared_ptr<const rt::ExecutionPlan>
-tryCompilePlan(const ir::Module &module, const std::string &entry,
-               const CompilerOptions &options,
-               std::string *cache_key = nullptr);
+compilePlan(const ir::Module &module, const std::string &entry,
+            const CompilerOptions &options,
+            std::string *cache_key = nullptr);
 
 /**
  * A compiled kernel: owns the context and the lowered module.
@@ -217,14 +193,13 @@ class CompiledKernel
 
     /**
      * The kernel's compiled ExecutionPlan: the lowered module walked
-     * once into a slot-based instruction stream (see
-     * runtime/ExecutionPlan.h). Compiled eagerly at kernel build time
-     * and shared by run()/sessions/engines; nullptr when
-     * options.treeWalkExecution is set (differential-testing mode) or
-     * when plan compilation failed (execution then falls back to the
-     * tree walk). A mutable module() access drops the cache; the
-     * recompile happens on next use -- like the IR mutation that
-     * motivated it, that path is single-threaded by contract.
+     * once into a slot-based, optimized instruction stream (see
+     * runtime/ExecutionPlan.h) -- the only way the kernel executes.
+     * Compiled eagerly at kernel build time (an unsupported op fails
+     * the build with a located CompilerError) and shared by
+     * run()/sessions/engines. A mutable module() access drops the
+     * cache; the recompile happens on next use -- like the IR mutation
+     * that motivated it, that path is single-threaded by contract.
      */
     std::shared_ptr<const rt::ExecutionPlan> executionPlan();
 
@@ -253,8 +228,6 @@ class CompiledKernel
     /** PlanCache key of plan_stream_, for invalidation on mutable
      *  module() access; empty when no cache entry is held. */
     std::string planCacheKey_;
-    /** Set when plan compilation failed (avoid re-trying per call). */
-    bool planCompileFailed_ = false;
     std::vector<std::pair<std::string, std::string>> dumps_;
     std::vector<ir::PassManager::Timing> timings_;
 };

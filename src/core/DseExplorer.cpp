@@ -92,9 +92,8 @@ namespace {
 
 /**
  * Compile + execute one candidate on fresh, task-local state. The
- * kernel's execution plan is compiled alongside it, so the sweep's
- * run() replays the slot-based instruction stream rather than
- * tree-walking the IR per candidate.
+ * kernel's execution plan is compiled alongside it (through the
+ * process-wide PlanCache) and run() replays it.
  */
 DsePoint
 evaluateCandidate(const std::string &source, const arch::ArchSpec &spec,

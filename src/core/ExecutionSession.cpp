@@ -27,41 +27,30 @@ nonPersistentSetupTotal(const std::vector<ExecutionResult> &results)
 }
 
 ExecutionSession::ExecutionSession(
-    std::shared_ptr<ir::Context> ctx, ir::Module &module,
+    std::shared_ptr<ir::Context> ctx, const ir::Module &module,
     CompilerOptions options, std::string entry,
     const std::vector<rt::BufferPtr> &setup_args,
     std::shared_ptr<const rt::ExecutionPlan> plan)
-    : ctx_(std::move(ctx)), module_(&module), options_(std::move(options)),
+    : ctx_(std::move(ctx)), options_(std::move(options)),
       entry_(std::move(entry)), plan_(std::move(plan))
 {
-    ir::Operation *func = module_->lookupFunction(entry_);
+    ir::Operation *func = module.lookupFunction(entry_);
     C4CAM_CHECK(func, "session kernel has no function '" << entry_ << "'");
     entryBody_ = &func->region(0).front();
     validateKernelArgs(entryBody_, entry_, setup_args);
 
-    if (options_.treeWalkExecution)
-        plan_ = nullptr;
-    else if (!plan_)
-        plan_ = tryCompilePlan(*module_, entry_, options_);
+    if (!plan_)
+        plan_ = compilePlan(module, entry_, options_);
 
-    persistent_ = !options_.hostOnly &&
-                  rt::Interpreter::hasPhaseMarkers(func);
+    persistent_ = !options_.hostOnly && plan_->hasPhaseMarkers();
     if (!persistent_)
         return; // fall back to full re-execution per query
 
     device_ = std::make_unique<sim::CamDevice>(options_.spec);
     device_->setFusionModel(options_.fusionModel);
-    if (plan_) {
-        frame_ = plan_->makeFrame();
-        plan_->run(frame_, device_.get(), rt::toRtValues(setup_args),
-                   rt::ExecutionPlan::ExecPhase::SetupOnly);
-    } else {
-        interpreter_ = std::make_unique<rt::Interpreter>(*module_);
-        state_ = rt::ExecutionState(device_.get());
-        interpreter_->callFunction(state_, entry_,
-                                   rt::toRtValues(setup_args),
-                                   rt::Interpreter::ExecPhase::SetupOnly);
-    }
+    frame_ = plan_->makeFrame();
+    plan_->run(frame_, device_.get(), rt::toRtValues(setup_args),
+               rt::ExecutionPlan::ExecPhase::SetupOnly);
     setupReport_ = device_->report();
     aggregate_ = setupReport_;
 }
@@ -92,28 +81,55 @@ ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args)
         t0 = col->nowUs();
     }
 
+    auto span = [&](const char *name, std::uint64_t id,
+                    std::uint64_t parent, double start, double end) {
+        support::TraceEvent ev;
+        ev.name = name;
+        ev.traceId = traceId_;
+        ev.queryId = queryId;
+        ev.spanId = id;
+        ev.parentSpanId = parent;
+        ev.startUs = start;
+        ev.durUs = end - start;
+        return ev;
+    };
+
     ExecutionResult result;
-    if (!persistent_) {
-        result = runNonPersistent(args);
-    } else {
-        // Reset the query accounting window so this report's query
-        // fields cover exactly this call (and match a single-shot run
-        // bit-for-bit).
-        device_->beginQueryWindow();
-        if (plan_) {
+    try {
+        if (!persistent_) {
+            result = runNonPersistent(args);
+        } else {
+            // Reset the query accounting window so this report's query
+            // fields cover exactly this call (and match a single-shot
+            // run bit-for-bit).
+            device_->beginQueryWindow();
             if (col)
                 frame_.trace =
                     support::SpanContext{col, traceId_, queryId, execSpan};
             result.outputs =
                 plan_->run(frame_, device_.get(), rt::toRtValues(args),
                            rt::ExecutionPlan::ExecPhase::QueryOnly);
-            if (col)
-                frame_.trace = support::SpanContext{};
-        } else {
-            result.outputs = interpreter_->callFunction(
-                state_, entry_, rt::toRtValues(args),
-                rt::Interpreter::ExecPhase::QueryOnly);
+            frame_.trace = support::SpanContext{};
         }
+    } catch (...) {
+        // The frame must not keep pointing at this query's collector:
+        // the next replay would record into it, even after tracing was
+        // turned off and the collector destroyed.
+        frame_.trace = support::SpanContext{};
+        if (persistent_) {
+            // Close the scopes the unwind left open so the session
+            // stays servable.
+            device_->abortQueryWindow();
+        }
+        if (col) {
+            // The replay's RAII "plan-replay" span already recorded
+            // under execSpan during unwinding; record execute and its
+            // root so the trace stays parent-resolvable.
+            double now = col->nowUs();
+            col->record(span("execute", execSpan, rootSpan, t0, now));
+            col->record(span("query", rootSpan, 0, t0, now));
+        }
+        throw;
     }
     double e1 = col ? col->nowUs() : 0.0;
     if (persistent_) {
@@ -126,35 +142,11 @@ ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args)
     }
     if (col) {
         double m1 = col->nowUs();
-        support::TraceEvent exec;
-        exec.name = "execute";
-        exec.traceId = traceId_;
-        exec.queryId = queryId;
-        exec.spanId = execSpan;
-        exec.parentSpanId = rootSpan;
-        exec.startUs = t0;
-        exec.durUs = e1 - t0;
+        support::TraceEvent exec = span("execute", execSpan, rootSpan, t0, e1);
         sim::attachWindowBreakdown(exec, result.perf);
         col->record(exec);
-
-        support::TraceEvent merge;
-        merge.name = "merge";
-        merge.traceId = traceId_;
-        merge.queryId = queryId;
-        merge.spanId = col->newSpanId();
-        merge.parentSpanId = rootSpan;
-        merge.startUs = e1;
-        merge.durUs = m1 - e1;
-        col->record(merge);
-
-        support::TraceEvent root;
-        root.name = "query";
-        root.traceId = traceId_;
-        root.queryId = queryId;
-        root.spanId = rootSpan;
-        root.startUs = t0;
-        root.durUs = m1 - t0;
-        col->record(root);
+        col->record(span("merge", col->newSpanId(), rootSpan, e1, m1));
+        col->record(span("query", rootSpan, 0, t0, m1));
     }
     return result;
 }
@@ -162,8 +154,7 @@ ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args)
 ExecutionResult
 ExecutionSession::runNonPersistent(const std::vector<rt::BufferPtr> &args)
 {
-    ExecutionResult result =
-        runKernelOnce(*module_, entry_, options_, args, plan_.get());
+    ExecutionResult result = runKernelOnce(*plan_, options_, args);
     accumulate(result.perf);
     ++queriesServed_;
     return result;

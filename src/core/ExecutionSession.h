@@ -10,7 +10,8 @@
  * *setup* phase (programming stored data into subarrays) and a
  * per-query *search* phase. CompiledKernel::run() pays both on every
  * call because it rebuilds the whole CamDevice. An ExecutionSession
- * keeps the device and interpreter alive across calls instead:
+ * keeps the device and the plan's slot frame alive across calls
+ * instead:
  *
  * @code
  *   core::CompiledKernel kernel = compiler.compileTorchScript(src);
@@ -47,7 +48,6 @@
 #include "core/Compiler.h"
 #include "runtime/Buffer.h"
 #include "runtime/ExecutionPlan.h"
-#include "runtime/Interpreter.h"
 #include "sim/CamDevice.h"
 #include "sim/Timing.h"
 #include "support/Trace.h"
@@ -90,12 +90,8 @@ nonPersistentSetupTotal(const std::vector<ExecutionResult> &results);
  * falls back to full re-execution per query; persistent() tells the
  * two modes apart.
  *
- * Execution back end: when a compiled ExecutionPlan is available (the
- * default), the setup prologue and every query are *replayed* through
- * the plan's instruction stream over a persistent slot frame; with
- * CompilerOptions::treeWalkExecution the session walks the IR through
- * the Interpreter instead. Both paths produce bit-identical outputs
- * and PerfReports.
+ * Execution: the setup prologue and every query are *replayed* through
+ * the kernel's compiled ExecutionPlan over a persistent slot frame.
  */
 class ExecutionSession
 {
@@ -105,11 +101,13 @@ class ExecutionSession
      * phase with @p setup_args (one buffer per function parameter; the
      * stored-data arguments are programmed into the device here).
      * Prefer CompiledKernel::createSession() over calling this
-     * directly. @p plan is the kernel's compiled instruction stream;
-     * when null (and tree-walk execution is not forced) the session
-     * compiles its own.
+     * directly. @p plan is the instruction stream to replay (tests and
+     * benches pass a raw rt::ExecutionPlan::compile() result here);
+     * when null the session compiles the optimized plan itself. Only
+     * the entry signature is read from @p module.
      */
-    ExecutionSession(std::shared_ptr<ir::Context> ctx, ir::Module &module,
+    ExecutionSession(std::shared_ptr<ir::Context> ctx,
+                     const ir::Module &module,
                      CompilerOptions options, std::string entry,
                      const std::vector<rt::BufferPtr> &setup_args,
                      std::shared_ptr<const rt::ExecutionPlan> plan =
@@ -151,8 +149,8 @@ class ExecutionSession
     /**
      * Validate @p args against the kernel signature without serving
      * (throws CompilerError on mismatch) -- the admission-time check
-     * runQuery() repeats. Lets adapters (SingleSessionBackend) fail
-     * malformed queries on the submitter's stack.
+     * runQuery() repeats, so callers can fail malformed queries
+     * before serving any.
      */
     void
     validateQuery(const std::vector<rt::BufferPtr> &args) const
@@ -180,12 +178,9 @@ class ExecutionSession
      */
     bool persistent() const { return persistent_; }
 
-    /** True when queries replay the compiled plan (vs tree-walking). */
-    bool usesPlan() const { return plan_ != nullptr; }
-
     /**
      * Record per-query lifecycle spans ("query" > "execute"/"merge",
-     * plus "plan-replay" from the plan back end) into @p collector.
+     * plus "plan-replay" under execute) into @p collector.
      * The execute span carries the device window's simulated breakdown
      * (sim::attachWindowBreakdown). Pass nullptr to turn tracing off
      * again; with no collector every tracing site is an inlined
@@ -206,7 +201,6 @@ class ExecutionSession
     void accumulate(const sim::PerfReport &perf);
 
     std::shared_ptr<ir::Context> ctx_;
-    ir::Module *module_;
     CompilerOptions options_;
     std::string entry_;
     /** Entry block of the kernel function (cached: the module is
@@ -214,11 +208,7 @@ class ExecutionSession
     ir::Block *entryBody_ = nullptr;
 
     std::unique_ptr<sim::CamDevice> device_;
-    /** Immutable view over the module (shareable across threads). */
-    std::unique_ptr<rt::Interpreter> interpreter_;
-    /** This session's per-execution state (SSA env from the setup run). */
-    rt::ExecutionState state_;
-    /** Compiled instruction stream (null in tree-walk mode). */
+    /** Compiled instruction stream. */
     std::shared_ptr<const rt::ExecutionPlan> plan_;
     /** Persistent slot frame (the plan path's SSA environment). */
     rt::PlanFrame frame_;

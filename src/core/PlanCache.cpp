@@ -27,7 +27,7 @@ PlanCache::makeKey(const ir::Module &module, const std::string &entry,
     // FNV-1a over the printed module: the lowered text carries the
     // shapes, constants and mapping structure, so two kernels with the
     // same digest + length are the same compilation input. Everything
-    // else that changes what tryCompilePlan produces is appended
+    // else that changes what compilePlan produces is appended
     // verbatim.
     const std::string text = module.str();
     std::uint64_t h = 1469598103934665603ull;
@@ -37,11 +37,7 @@ PlanCache::makeKey(const ir::Module &module, const std::string &entry,
     }
     std::ostringstream key;
     key << std::hex << h << std::dec << ":" << text.size() << ":"
-        << entry << ":" << options.hostOnly << options.lowerToLoops
-        << options.optimizePlans << options.planOpt.constantFolding
-        << options.planOpt.subviewHoisting
-        << options.planOpt.superopFusion
-        << options.planOpt.deadSlotElimination;
+        << entry << ":" << options.hostOnly << options.lowerToLoops;
     return key.str();
 }
 

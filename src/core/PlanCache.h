@@ -10,16 +10,15 @@
  * kernel shape, not once per consumer: ExecutionSession, ServingEngine
  * replicas, ShardedEngine per-shard compiles (M shards with equal
  * slice sizes collapse to one compile + M-1 hits) and DseExplorer
- * candidate sweeps all funnel through core::tryCompilePlan, which
- * keys into this cache.
+ * candidate sweeps all funnel through core::compilePlan, which keys
+ * into this cache.
  *
  * Keying: the canonical key digests the module fingerprint (the
  * printed IR -- shapes, constants and mapping structure are all part
  * of the lowered text, so ShapeOverrides and ArchSpec differences are
  * naturally covered), the entry symbol, and every CompilerOptions
- * field that changes what tryCompilePlan would produce (hostOnly,
- * lowerToLoops, optimizePlans + per-pass toggles). Same canonical key
- * => interchangeable plan.
+ * field that changes what compilePlan would produce (hostOnly,
+ * lowerToLoops). Same canonical key => interchangeable plan.
  *
  * Concurrency: getOrCompile() compiles under the cache mutex, so N
  * racing session creations of the same shape perform exactly one
@@ -72,9 +71,9 @@ class PlanCache
 
     /**
      * Look up @p key; on a miss, run @p compile under the cache lock
-     * and insert its result. Failed compiles (nullptr) are cached too,
-     * so a kernel outside the plan vocabulary is not re-tried by every
-     * session. Emits a "plan-compile" span on miss and a
+     * and insert its result. A compile that throws (a module outside
+     * the plan vocabulary) counts as a miss, propagates, and leaves
+     * no entry behind. Emits a "plan-compile" span on miss and a
      * "plan-cache-hit" span on hit when a trace collector is attached.
      */
     std::shared_ptr<const rt::ExecutionPlan> getOrCompile(

@@ -12,12 +12,11 @@
  * replica pool over one programmed device). QueryBackend replaces that
  * coupling with an interface: anything that can validate a query,
  * serve it (optionally as part of a fused chunk) and account for it
- * can sit behind the bounded queue. Three implementations exist:
+ * can sit behind the bounded queue. Two implementations exist:
  *
  *  - ServingEngine: N cloned replicas of one programmed device
- *    (core/ServingEngine.h);
- *  - SingleSessionBackend: one ExecutionSession behind a mutex --
- *    the minimal single-device backend (core/SessionBackend.h);
+ *    (core/ServingEngine.h); with one replica it is the minimal
+ *    single-device backend;
  *  - ShardedEngine: the stored-vector axis partitioned across M
  *    programmed devices with scatter-gather top-k merge
  *    (core/ShardedEngine.h).

@@ -14,69 +14,48 @@ namespace c4cam::core {
 using Clock = std::chrono::steady_clock;
 
 ServingEngine::ServingEngine(std::shared_ptr<ir::Context> ctx,
-                             ir::Module &module, CompilerOptions options,
-                             std::string entry,
+                             const ir::Module &module,
+                             CompilerOptions options, std::string entry,
                              const std::vector<rt::BufferPtr> &setup_args,
                              int replicas,
                              std::shared_ptr<const rt::ExecutionPlan> plan)
-    : module_(&module), options_(std::move(options)),
-      entry_(std::move(entry)), ctx_(std::move(ctx)),
-      plan_(std::move(plan))
+    : options_(std::move(options)), entry_(std::move(entry)),
+      ctx_(std::move(ctx)), plan_(std::move(plan))
 {
     C4CAM_CHECK(replicas >= 1,
                 "ServingEngine needs at least 1 replica, got " << replicas);
-    ir::Operation *func = module_->lookupFunction(entry_);
+    ir::Operation *func = module.lookupFunction(entry_);
     C4CAM_CHECK(func, "serving kernel has no function '" << entry_ << "'");
     entryBody_ = &func->region(0).front();
     validateKernelArgs(entryBody_, entry_, setup_args);
 
-    if (options_.treeWalkExecution)
-        plan_ = nullptr;
-    else if (!plan_)
-        plan_ = tryCompilePlan(*module_, entry_, options_);
-
-    // The interpreter only backs the tree-walk mode; plan replicas
-    // replay the shared instruction stream instead.
     if (!plan_)
-        interpreter_ = std::make_unique<rt::Interpreter>(*module_);
-    persistent_ = !options_.hostOnly &&
-                  rt::Interpreter::hasPhaseMarkers(func);
+        plan_ = compilePlan(module, entry_, options_);
+    persistent_ = !options_.hostOnly && plan_->hasPhaseMarkers();
 
     if (persistent_) {
         // Program the master replica (the only simulated setup cost),
         // then replicate it: clones copy the programmed cells, the
-        // setup accounting and the handle numbering, so a forked
-        // interpreter state / slot frame keeps addressing the right
-        // subarrays.
+        // setup accounting and the handle numbering, so a copied slot
+        // frame keeps addressing the right subarrays.
         auto master = std::make_unique<Replica>();
         master->device = std::make_unique<sim::CamDevice>(options_.spec);
         // Clones inherit the model via cloneProgrammed's copy, so the
         // whole replica pool fuses under one accounting regime.
         master->device->setFusionModel(options_.fusionModel);
-        if (plan_) {
-            master->frame = plan_->makeFrame();
-            plan_->run(master->frame, master->device.get(),
-                       rt::toRtValues(setup_args),
-                       rt::ExecutionPlan::ExecPhase::SetupOnly);
-        } else {
-            master->state = rt::ExecutionState(master->device.get());
-            interpreter_->callFunction(
-                master->state, entry_, rt::toRtValues(setup_args),
-                rt::Interpreter::ExecPhase::SetupOnly);
-        }
+        master->frame = plan_->makeFrame();
+        plan_->run(master->frame, master->device.get(),
+                   rt::toRtValues(setup_args),
+                   rt::ExecutionPlan::ExecPhase::SetupOnly);
         setupReport_ = master->device->report();
         replicas_.push_back(std::move(master));
         for (int i = 1; i < replicas; ++i) {
             auto replica = std::make_unique<Replica>();
             replica->device = replicas_[0]->device->cloneProgrammed();
-            if (plan_)
-                // Slot frames fork by plain copy: setup results are
-                // immutable once programmed, and device handles stay
-                // valid on a cloneProgrammed() copy.
-                replica->frame = replicas_[0]->frame;
-            else
-                replica->state = replicas_[0]->state.forkForReplica(
-                    replica->device.get());
+            // Slot frames fork by plain copy: setup results are
+            // immutable once programmed, and device handles stay valid
+            // on a cloneProgrammed() copy.
+            replica->frame = replicas_[0]->frame;
             replicas_.push_back(std::move(replica));
         }
     } else {
@@ -161,29 +140,21 @@ ServingEngine::serveOn(Replica &replica,
     ExecutionResult result;
     try {
         if (!persistent_) {
-            result = runKernelOnce(*module_, entry_, options_, args,
-                                   plan_.get());
+            result = runKernelOnce(*plan_, options_, args);
         } else {
             // Fresh accounting window: this query's report covers
             // exactly this call on top of the shared setup,
             // bit-identical to a serial session (and to a single-shot
             // run).
             replica.device->beginQueryWindow();
-            if (plan_) {
-                if (col)
-                    replica.frame.trace = support::SpanContext{
-                        col, ctx->traceId, ctx->queryId, execSpan};
-                result.outputs = plan_->run(
-                    replica.frame, replica.device.get(),
-                    rt::toRtValues(args),
-                    rt::ExecutionPlan::ExecPhase::QueryOnly);
-                if (col)
-                    replica.frame.trace = support::SpanContext{};
-            } else {
-                result.outputs = interpreter_->callFunction(
-                    replica.state, entry_, rt::toRtValues(args),
-                    rt::Interpreter::ExecPhase::QueryOnly);
-            }
+            if (col)
+                replica.frame.trace = support::SpanContext{
+                    col, ctx->traceId, ctx->queryId, execSpan};
+            result.outputs = plan_->run(
+                replica.frame, replica.device.get(), rt::toRtValues(args),
+                rt::ExecutionPlan::ExecPhase::QueryOnly);
+            if (col)
+                replica.frame.trace = support::SpanContext{};
         }
     } catch (...) {
         if (col) {

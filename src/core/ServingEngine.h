@@ -29,9 +29,9 @@
  *    work, not simulated device work) and sums the query windows over
  *    all served queries, exactly like a serial session.
  *
- * Threading model: the compiled module and the Interpreter over it are
- * shared read-only; each replica owns its CamDevice and ExecutionState
- * and serves at most one query at a time (enforced by the free-list).
+ * Threading model: the compiled ExecutionPlan is shared read-only;
+ * each replica owns its CamDevice and PlanFrame and serves at most one
+ * query at a time (enforced by the free-list).
  * Queries must not alias writable buffers across concurrent
  * submissions (inputs are read-only; outputs are freshly allocated per
  * query).
@@ -52,7 +52,6 @@
 #include "core/RetryPolicy.h"
 #include "runtime/Buffer.h"
 #include "runtime/ExecutionPlan.h"
-#include "runtime/Interpreter.h"
 #include "sim/CamDevice.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -76,12 +75,13 @@ class ServingEngine : public QueryBackend
 {
   public:
     /**
-     * @p plan is the kernel's compiled instruction stream; when null
-     * (and tree-walk execution is not forced) the engine compiles its
-     * own. Every replica replays the shared plan over its own slot
-     * frame.
+     * @p plan is the instruction stream to replay; when null the
+     * engine compiles the optimized plan itself. Every replica replays
+     * the shared plan over its own slot frame. Only the entry
+     * signature is read from @p module.
      */
-    ServingEngine(std::shared_ptr<ir::Context> ctx, ir::Module &module,
+    ServingEngine(std::shared_ptr<ir::Context> ctx,
+                  const ir::Module &module,
                   CompilerOptions options, std::string entry,
                   const std::vector<rt::BufferPtr> &setup_args,
                   int replicas,
@@ -163,8 +163,8 @@ class ServingEngine : public QueryBackend
      * Record per-query lifecycle spans into @p collector: for every
      * served query a "query" root span with "execute" and "merge"
      * children (the execute span carries the device window's simulated
-     * breakdown via sim::attachWindowBreakdown, and the plan back end
-     * adds a "plan-replay" child). When the engine serves on behalf of
+     * breakdown via sim::attachWindowBreakdown, and plan replay adds
+     * a "plan-replay" child). When the engine serves on behalf of
      * an AsyncServingEngine the async layer passes per-query contexts
      * instead and owns the root span. @p trace_id groups the spans;
      * 0 allocates a fresh id from the collector. Pass nullptr to turn
@@ -227,12 +227,10 @@ class ServingEngine : public QueryBackend
     std::int64_t queriesServed() const override;
 
   private:
-    /** One programmed device copy + the post-setup execution state
-     *  (the interpreter's SSA env or the plan's slot frame). */
+    /** One programmed device copy + its post-setup slot frame. */
     struct Replica
     {
         std::unique_ptr<sim::CamDevice> device;
-        rt::ExecutionState state;
         rt::PlanFrame frame;
     };
 
@@ -250,7 +248,6 @@ class ServingEngine : public QueryBackend
                       std::chrono::steady_clock::time_point start,
                       std::chrono::steady_clock::time_point done);
 
-    ir::Module *module_;
     CompilerOptions options_;
     std::string entry_;
     ir::Block *entryBody_ = nullptr;
@@ -265,10 +262,7 @@ class ServingEngine : public QueryBackend
     std::uint64_t traceId_ = 0;
     /// @}
 
-    /** Shared read-only executor over the module. */
-    std::unique_ptr<rt::Interpreter> interpreter_;
-
-    /** Shared compiled instruction stream (null in tree-walk mode). */
+    /** Shared compiled instruction stream. */
     std::shared_ptr<const rt::ExecutionPlan> plan_;
 
     /** Replica storage (index 0 is the master that ran setup). */

@@ -3,9 +3,11 @@
 
 /**
  * @file
- * Compile-once execution plans: slot-based bytecode for the lowered IR.
+ * Compile-once execution plans: slot-based bytecode for the lowered IR,
+ * and the only way production executes a kernel.
  *
- * The tree-walking Interpreter re-resolves everything on every query:
+ * The tree-walking Interpreter (kept as the test oracle) re-resolves
+ * everything on every query:
  * each op name runs through a string-compare dispatch chain, every SSA
  * value lives in a std::map keyed by pointer, and attributes (loop
  * bounds, cmp predicates, slice specs, search kinds) are re-parsed
@@ -32,15 +34,14 @@
  * SSA environment.
  *
  * Replay is semantically identical to the tree walk by construction:
- * both back ends share the host tensor kernels (runtime/HostKernels.h)
- * and drive the CamDevice through the same call sequence, so outputs
- * and simulated PerfReports are bit-identical (locked by
- * tests/runtime/ExecutionPlanTest.cpp and the
+ * both share the host tensor kernels (runtime/HostKernels.h) and drive
+ * the CamDevice through the same call sequence, so outputs and
+ * simulated PerfReports are bit-identical (locked by
+ * tests/runtime/ExecutionPlanTest.cpp, DifferentialFuzzTest and the
  * bench_serving_throughput --plan-vs-treewalk gate).
  *
- * A compiled plan holds no pointers into the IR: after compile() the
- * module is only needed to stay alive for the tree-walk fallback, not
- * for replay.
+ * A compiled plan holds no pointers into the IR: replay never touches
+ * the module.
  */
 
 #include <algorithm>
@@ -227,7 +228,7 @@ struct Instr
  * (the counterpart of ExecutionState's SSA environment) and the
  * cim-handle counter. Forking a post-setup frame for a device replica
  * is a plain copy: setup-phase results are immutable once programmed,
- * exactly like ExecutionState::forkForReplica.
+ * and device handles stay valid on a CamDevice::cloneProgrammed() copy.
  */
 struct PlanFrame
 {

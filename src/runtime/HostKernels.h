@@ -3,13 +3,13 @@
 
 /**
  * @file
- * Host tensor kernels shared by the tree-walking interpreter and the
- * execution-plan replay engine.
+ * Host tensor kernels shared by the execution-plan replay engine and
+ * the tree-walking test oracle.
  *
  * These implement the functional semantics of the torch/cim tensor ops
  * (the paper's host reference path). They are pure functions of their
- * inputs -- safe to call from any thread -- and both execution back
- * ends dispatch into the same implementations, so the plan replay
+ * inputs -- safe to call from any thread -- and plan replay and the
+ * oracle dispatch into the same implementations, so the plan replay
  * cannot drift numerically from the tree walk.
  */
 

@@ -38,15 +38,6 @@ ExecutionState::set(Value *value, RtValue rt_value)
     env_[value] = std::move(rt_value);
 }
 
-ExecutionState
-ExecutionState::forkForReplica(sim::CamDevice *device) const
-{
-    ExecutionState fork(device);
-    fork.env_ = env_;
-    fork.nextCimHandle_ = nextCimHandle_;
-    return fork;
-}
-
 //
 // Host tensor kernels live in runtime/HostKernels.h, shared with the
 // execution-plan replay engine so the two back ends cannot drift.
@@ -765,7 +756,7 @@ Executor::runCam(Operation *op)
 // Interpreter
 //
 
-Interpreter::Interpreter(Module &module, sim::CamDevice *device)
+Interpreter::Interpreter(const Module &module, sim::CamDevice *device)
     : module_(module), state_(device)
 {}
 

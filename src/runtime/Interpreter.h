@@ -5,6 +5,10 @@
  * @file
  * Reference executor for C4CAM IR at every abstraction level.
  *
+ * Production executes kernels through the compiled rt::ExecutionPlan
+ * only; this tree walker is the independent oracle the differential
+ * tests (and the plan-vs-tree-walk benches) compare the plan against.
+ *
  * - torch/cim tensor ops run on the host (functional reference, used for
  *   validation -- this doubles as the paper's "lower to loops" path);
  * - scf/arith/memref ops implement the lowered control structure;
@@ -38,10 +42,8 @@ namespace c4cam::rt {
  * Separating this from the Interpreter is what makes concurrent
  * serving possible: the module (and the Interpreter over it) is shared
  * read-only across threads while every in-flight execution owns one
- * ExecutionState. A persistent session keeps one state alive across
- * queries (the query body re-reads the device handles the setup
- * prologue evaluated); a serving engine forks one state per device
- * replica after setup.
+ * ExecutionState. A persistent state lives across calls: the query
+ * body re-reads the device handles the setup prologue evaluated.
  */
 class ExecutionState
 {
@@ -52,17 +54,6 @@ class ExecutionState
 
     /** Device backing cam.* ops; may be nullptr for host-only IR. */
     sim::CamDevice *device() const { return device_; }
-
-    /**
-     * Replicate this (post-setup) state for another device replica.
-     * The SSA environment is copied shallowly: setup-phase results are
-     * immutable once programmed (the query body only allocates fresh
-     * buffers), so replicas may safely share them. Device handles are
-     * plain integers and stay valid on @p device when it is a
-     * CamDevice::cloneProgrammed() copy of this state's device (clones
-     * preserve handle numbering).
-     */
-    ExecutionState forkForReplica(sim::CamDevice *device) const;
 
     /// @name Environment access (used by the interpreter)
     /// @{
@@ -114,7 +105,7 @@ class Interpreter
      *                state; may be nullptr when the module contains no
      *                cam ops.
      */
-    explicit Interpreter(ir::Module &module,
+    explicit Interpreter(const ir::Module &module,
                          sim::CamDevice *device = nullptr);
 
     /**
@@ -153,7 +144,7 @@ class Interpreter
     const ExecutionState &state() const { return state_; }
 
   private:
-    ir::Module &module_;
+    const ir::Module &module_;
     ExecutionState state_;
 };
 

@@ -5,12 +5,13 @@
  * @file
  * The executable op vocabulary and its diagnostics.
  *
- * Both execution back ends (the tree-walking interpreter and the
- * execution-plan compiler) support exactly the same op set; this
- * module owns the canonical list of mnemonics and produces the shared
- * unknown-op diagnostic: instead of a bare "unsupported op" after the
- * full dispatch chain, the error names the op, the enclosing function
- * and the nearest known mnemonic (typo repair for hand-written IR).
+ * The execution-plan compiler and the tree-walking test oracle support
+ * exactly the same op set; this module owns the canonical list of
+ * mnemonics and produces the shared unknown-op diagnostic. A kernel
+ * outside the vocabulary fails at plan compile time with it: instead
+ * of a bare "unsupported op" after the full dispatch chain, the error
+ * names the op, the enclosing function and the nearest known mnemonic
+ * (typo repair for hand-written IR).
  */
 
 #include <string>

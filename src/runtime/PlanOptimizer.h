@@ -11,8 +11,10 @@
  * out. The optimizer rewrites the instruction streams once, at compile
  * time, without changing observable behavior -- outputs AND simulated
  * PerfReports stay bit-identical to the unoptimized plan and the
- * tree-walk interpreter (device ops, timing scopes and cost-posting
- * ops are never touched, reordered or eliminated).
+ * tree-walk oracle (device ops, timing scopes and cost-posting ops are
+ * never touched, reordered or eliminated). Every production plan runs
+ * the full default pipeline (core::compilePlan); the per-pass toggles
+ * below exist for tests and --plan-opt-debug.
  *
  * Passes, in pipeline order (each individually toggleable):
  *
@@ -40,9 +42,10 @@
  *     surviving slots are renumbered densely, shrinking the per-replay
  *     std::vector<RtValue> frame.
  *
- * The pipeline returns a NEW plan; the input is never mutated, so an
- * unoptimized plan stays available for differential testing
- * (DifferentialFuzzTest runs optimized vs unoptimized vs tree-walk).
+ * The pipeline returns a NEW plan; the input is never mutated, so a
+ * raw rt::ExecutionPlan::compile() result stays available for
+ * differential testing (DifferentialFuzzTest runs optimized vs raw vs
+ * the tree-walk oracle).
  */
 
 #include <cstdint>

@@ -369,6 +369,9 @@ TEST(ChaosDifferential, DeadlineShedsAreTypedCountedAndOverridable)
     // cannot all make it; every shed is typed and counted, and the
     // accounting still conserves: every future resolved exactly once.
     EXPECT_GT(shed, 0);
+    // A future resolves just before its completion is counted; drain()
+    // waits for the counters (see AsyncServingEngine::deliver).
+    engine->drain();
     core::AsyncServingStats stats = engine->stats();
     EXPECT_EQ(stats.deadlineSheds, shed);
     EXPECT_EQ(stats.serving.deadlineSheds, shed) << "stats mirror";

@@ -1,6 +1,6 @@
 /**
  * @file
- * Differential fuzzing of the two execution back ends.
+ * Differential fuzzing of plan replay against the tree-walk oracle.
  *
  * ExecutionPlanTest locks plan-vs-tree-walk bit-identity on the three
  * hand-picked tier-1 kernels; this tier generates a seeded-random
@@ -8,8 +8,10 @@
  * top-k widths, subarray sizes, optimization targets, CAM device
  * types and lowering phases (device / host-cim / host-loops) -- and
  * asserts for every one of them that OPTIMIZED plan replay
- * (rt::PlanOptimizer pipeline), raw unoptimized plan replay and the
- * tree-walking interpreter produce bit-identical outputs AND
+ * (the production path), raw unoptimized plan replay (an
+ * rt::ExecutionPlan::compile() result fed through the same session
+ * and run entry points) and the tree-walk oracle
+ * (tests/common/TreeWalkOracle.h) produce bit-identical outputs AND
  * bit-identical PerfReport JSON, both single-shot and through a
  * persistent session serving several queries.
  *
@@ -21,11 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "TreeWalkOracle.h"
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
+#include "runtime/ExecutionPlan.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Trace.h"
@@ -190,45 +195,35 @@ TEST(DifferentialFuzz, PlanAndTreeWalkAgreeOnRandomConfigs)
         SCOPED_TRACE("trial " + std::to_string(trial) + ": " +
                      cfg.description);
 
-        core::CompilerOptions walk_options = cfg.options;
-        walk_options.treeWalkExecution = true;
-        core::CompilerOptions raw_options = cfg.options;
-        raw_options.optimizePlans = false;
-        core::Compiler plan_compiler(cfg.options);
-        core::CompiledKernel plan_kernel =
-            plan_compiler.compileTorchScript(cfg.source);
-        core::Compiler raw_compiler(raw_options);
-        core::CompiledKernel raw_kernel =
-            raw_compiler.compileTorchScript(cfg.source);
-        core::Compiler walk_compiler(walk_options);
-        core::CompiledKernel walk_kernel =
-            walk_compiler.compileTorchScript(cfg.source);
+        core::Compiler compiler(cfg.options);
+        core::CompiledKernel kernel = compiler.compileTorchScript(cfg.source);
+        const ir::Module &module = std::as_const(kernel).module();
+        std::shared_ptr<const rt::ExecutionPlan> raw_plan =
+            rt::ExecutionPlan::compile(module, kernel.entryPoint());
 
         FuzzData data = drawData(rng, cfg, kQueriesPerSession + 1);
 
-        // Single-shot differential, all three back ends.
+        // Single-shot differential, all three executors.
         std::vector<rt::BufferPtr> args{data.queryBatches[0],
                                         data.stored};
-        core::ExecutionResult via_plan = plan_kernel.run(args);
-        core::ExecutionResult via_raw = raw_kernel.run(args);
-        core::ExecutionResult via_walk = walk_kernel.run(args);
+        core::ExecutionResult via_plan = kernel.run(args);
+        core::ExecutionResult via_raw =
+            core::runKernelOnce(*raw_plan, cfg.options, args);
+        core::ExecutionResult via_walk =
+            oracle::treeWalkRun(kernel, cfg.options, args);
         expectOutputsBitIdentical(via_plan.outputs, via_raw.outputs);
         expectReportJsonBitIdentical(via_plan.perf, via_raw.perf);
         expectOutputsBitIdentical(via_raw.outputs, via_walk.outputs);
         expectReportJsonBitIdentical(via_raw.perf, via_walk.perf);
 
         // Session differential: serve several query batches through a
-        // persistent session on each back end, comparing per-query
+        // persistent session on each executor, comparing per-query
         // and aggregate accounting.
-        core::ExecutionSession plan_session =
-            plan_kernel.createSession(args);
-        core::ExecutionSession raw_session =
-            raw_kernel.createSession(args);
-        core::ExecutionSession walk_session =
-            walk_kernel.createSession(args);
-        EXPECT_TRUE(plan_session.usesPlan());
-        EXPECT_TRUE(raw_session.usesPlan());
-        EXPECT_FALSE(walk_session.usesPlan());
+        core::ExecutionSession plan_session = kernel.createSession(args);
+        core::ExecutionSession raw_session(nullptr, module, cfg.options,
+                                           kernel.entryPoint(), args,
+                                           raw_plan);
+        oracle::TreeWalkSession walk_session(kernel, cfg.options, args);
         // Tracing must be a pure observer: run the plan session with a
         // live collector while the tree-walk session stays untraced,
         // and every bit-identity expectation below doubles as proof
@@ -252,8 +247,7 @@ TEST(DifferentialFuzz, PlanAndTreeWalkAgreeOnRandomConfigs)
         expectReportJsonBitIdentical(raw_session.aggregateReport(),
                                      walk_session.aggregateReport());
         // The traced session really did record: one query/execute/
-        // merge triple per runQuery (plus plan-replay spans on the
-        // plan back end).
+        // merge triple per runQuery (plus plan-replay spans).
         EXPECT_GE(collector.size(), 3 * kQueriesPerSession);
     }
 }

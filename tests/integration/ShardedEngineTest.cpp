@@ -20,11 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "TreeWalkOracle.h"
 #include "apps/Workloads.h"
 #include "core/AsyncServingEngine.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
-#include "core/SessionBackend.h"
+#include "core/ServingEngine.h"
 #include "core/ShardedEngine.h"
 #include "sim/Timing.h"
 #include "support/Error.h"
@@ -80,11 +81,10 @@ struct Workload
 /** Dot-similarity serving workload with distinct query batches. */
 Workload
 makeWorkload(std::int64_t rows, std::int64_t dims, int k, int queries,
-             std::uint64_t seed, bool tree_walk = false)
+             std::uint64_t seed)
 {
     core::CompilerOptions options;
     options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
-    options.treeWalkExecution = tree_walk;
     std::string source = apps::dotSimilaritySource(1, rows, dims, k);
     core::Compiler compiler(options);
     core::CompiledKernel kernel = compiler.compileTorchScript(source);
@@ -248,22 +248,19 @@ TEST(ShardedEngine, ServesThroughTheAsyncFrontEnd)
 
 TEST(ShardedEngine, TreeWalkBackEndShardsIdentically)
 {
-    // The shard layer sits above the execution back end: tree-walking
-    // shard engines must merge to the same outputs as the plan-based
-    // single device.
-    Workload plan = makeWorkload(10, 32, 2, 6, 89);
-    core::ExecutionSession session =
-        plan.kernel.createSession(plan.batches[0]);
-    std::vector<core::ExecutionResult> serial =
-        session.runBatch(plan.batches);
+    // The shard layer sits above the executor: plan-replaying shard
+    // engines must merge to the same outputs as the tree-walk oracle
+    // on the single big device.
+    Workload w = makeWorkload(10, 32, 2, 6, 89);
+    oracle::TreeWalkSession session(w.kernel, w.options, w.batches[0]);
+    std::vector<core::ExecutionResult> serial = session.runBatch(w.batches);
 
-    Workload walk = makeWorkload(10, 32, 2, 6, 89, /*tree_walk=*/true);
     core::ShardedEngineOptions sharding;
     sharding.shards = 2;
-    core::ShardedEngine engine(walk.options, walk.source,
-                               walk.batches[0], sharding);
-    for (std::size_t q = 0; q < plan.batches.size(); ++q)
-        expectOutputsIdentical(engine.serve(walk.batches[q]), serial[q]);
+    core::ShardedEngine engine(w.options, w.source, w.batches[0],
+                               sharding);
+    for (std::size_t q = 0; q < w.batches.size(); ++q)
+        expectOutputsIdentical(engine.serve(w.batches[q]), serial[q]);
 }
 
 TEST(ShardedEngine, ValidatesTheUnshardedSignature)
@@ -377,8 +374,10 @@ TEST(ShardedEngine, AggregatedReportsFollowTheMaxSumRule)
     EXPECT_EQ(sim::aggregateShardReports({}).queriesServed, 0);
 }
 
-TEST(SingleSessionBackend, AsyncOverOneSessionMatchesSerialReplay)
+TEST(ServingEngine, AsyncOverOneReplicaMatchesSerialReplay)
 {
+    // A 1-replica ServingEngine is the minimal single-device backend
+    // behind the async front-end.
     Workload w = makeWorkload(12, 64, 2, 12, 107);
     core::ExecutionSession reference =
         w.kernel.createSession(w.batches[0]);
@@ -386,15 +385,14 @@ TEST(SingleSessionBackend, AsyncOverOneSessionMatchesSerialReplay)
         reference.runBatch(w.batches);
 
     core::AsyncServingEngine engine(
-        std::make_unique<core::SingleSessionBackend>(
-            w.kernel.createSession(w.batches[0])));
+        w.kernel.createServingEngine(w.batches[0], 1));
     EXPECT_EQ(engine.backend().concurrency(), 1);
     EXPECT_TRUE(engine.backend().persistent());
     auto futures = engine.submitBatch(w.batches);
     for (std::size_t q = 0; q < futures.size(); ++q) {
         core::ExecutionResult r = futures[q].get();
         expectOutputsIdentical(r, serial[q]);
-        // One session, one device: reports are bit-identical too (the
+        // One replica, one device: reports are bit-identical too (the
         // sharded engine's aggregated reports intentionally are not).
         EXPECT_EQ(r.perf.queryLatencyNs, serial[q].perf.queryLatencyNs);
         EXPECT_EQ(r.perf.queryEnergyPj, serial[q].perf.queryEnergyPj);

@@ -16,8 +16,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <future>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
 #include "core/ServingEngine.h"
+#include "sim/FaultInjector.h"
 #include "support/Rng.h"
 #include "support/Trace.h"
 
@@ -277,14 +280,76 @@ TEST(TraceIntegration, SessionRecordsExecuteAndMergePerQuery)
                   results[idx]->perf.queryEnergyPj);
         ++idx;
     }
-    // Plan-backed session: replay itself left spans under execute.
+    // Plan replay itself left one span under each execute.
     std::int64_t replays = 0;
     for (const TraceEvent &ev : collector.snapshot())
         if (std::string(ev.name) == "plan-replay")
             ++replays;
-    if (session.usesPlan()) {
-        EXPECT_EQ(replays, 2);
-    }
+    EXPECT_EQ(replays, 2);
+}
+
+TEST(TraceIntegration, FailedSessionQueryLeavesNoStaleTraceContext)
+{
+    // A traced query that throws mid-replay must neither leave the
+    // session's plan frame pointing at its collector (the next replay
+    // would record into it even after tracing was turned off and the
+    // collector destroyed) nor leave its plan-replay span with an
+    // unrecorded execute parent.
+    core::ExecutionSession session =
+        workload().kernel.createSession(workload().queryFor(0));
+    sim::FaultSpec spec;
+    sim::FaultRule rule;
+    rule.kind = sim::FaultRule::Kind::Transient;
+    rule.device = 0;
+    rule.atSearch = 1;
+    spec.rules.push_back(rule);
+    session.device()->attachFaultInjector(
+        std::make_shared<sim::FaultInjector>(spec));
+
+    auto collector = std::make_unique<TraceCollector>();
+    session.enableTracing(collector.get());
+    EXPECT_THROW(session.runQuery(workload().queryFor(1)),
+                 sim::TransientFault);
+
+    auto queries = groupByQuery(collector->snapshot());
+    ASSERT_EQ(queries.size(), 1u);
+    const SpanMap &spans = queries.begin()->second;
+    const TraceEvent &root = only(spans, "query");
+    const TraceEvent &exec = only(spans, "execute");
+    const TraceEvent &replay = only(spans, "plan-replay");
+    EXPECT_EQ(exec.parentSpanId, root.spanId);
+    EXPECT_EQ(replay.parentSpanId, exec.spanId);
+    const std::string path =
+        ::testing::TempDir() + "failed_session_query_trace.json";
+    ASSERT_TRUE(collector->writeFile(path));
+    const std::string check =
+        std::string(C4CAM_TRACE_CHECK) + " " + path + " > /dev/null";
+    EXPECT_EQ(std::system(check.c_str()), 0) << "c4cam-trace-check "
+                                             << path;
+
+    session.enableTracing(nullptr);
+    const std::size_t recorded = collector->size();
+    core::ExecutionResult clean = session.runQuery(workload().queryFor(2));
+    EXPECT_EQ(collector->size(), recorded)
+        << "an untraced query recorded into the old collector";
+    collector.reset();
+    // Under ASan this is the use-after-free the stale context caused.
+    core::ExecutionResult after = session.runQuery(workload().queryFor(3));
+
+    // The failed query left the session servable with untouched
+    // accounting: later queries match a fault-free session exactly.
+    core::ExecutionSession reference =
+        workload().kernel.createSession(workload().queryFor(0));
+    core::ExecutionResult ref_clean =
+        reference.runQuery(workload().queryFor(2));
+    core::ExecutionResult ref_after =
+        reference.runQuery(workload().queryFor(3));
+    EXPECT_EQ(clean.perf.toJson().dump(2), ref_clean.perf.toJson().dump(2));
+    EXPECT_EQ(after.perf.toJson().dump(2), ref_after.perf.toJson().dump(2));
+    ASSERT_EQ(clean.outputs.size(), ref_clean.outputs.size());
+    for (std::size_t i = 0; i < clean.outputs.size(); ++i)
+        EXPECT_EQ(clean.outputs[i].asBuffer()->toVector(),
+                  ref_clean.outputs[i].asBuffer()->toVector());
 }
 
 TEST(TraceIntegration, SyncEngineServeCreatesItsOwnRootSpans)

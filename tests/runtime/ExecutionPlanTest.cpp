@@ -2,16 +2,20 @@
  * @file
  * Execution-plan tests: compilation, slot numbering, and the
  * differential contract -- every tier-1 kernel must produce
- * bit-identical outputs and PerfReports under tree-walk, plan-replay
- * and fused-batch (K=1) execution.
+ * bit-identical outputs and PerfReports under plan replay, fused-batch
+ * (K=1) execution and the tree-walk oracle -- and the one compile
+ * path's located error for modules outside the plan vocabulary.
  */
 
 #include <gtest/gtest.h>
 
+#include "TreeWalkOracle.h"
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
+#include "core/PlanCache.h"
 #include "dialects/AllDialects.h"
+#include "frontend/TorchScriptFrontend.h"
 #include "ir/Builder.h"
 #include "ir/Parser.h"
 #include "runtime/ExecutionPlan.h"
@@ -145,22 +149,72 @@ TEST(ExecutionPlan, CompilesForEveryTierOneKernel)
     }
 }
 
-TEST(ExecutionPlan, TreeWalkRetainedBehindFlag)
+namespace {
+
+/**
+ * The tier-1 HDC kernel plus one registered, verifiable op the
+ * lowering pipeline leaves alone but no executor supports: crossbar.*
+ * ops belong to the crossbar dialect, which has no execution semantics
+ * in this compiler.
+ */
+core::CompiledKernel
+compileKernelWithCrossbarOp()
 {
+    auto ctx = std::make_shared<ir::Context>();
+    dialects::loadAllDialects(*ctx);
+    ir::Module module = frontend::parseTorchScriptModule(
+        *ctx, apps::dotSimilaritySource(1, 8, 64, 1));
+    ir::OpBuilder builder(*ctx);
+    builder.setInsertionPointToStart(
+        &module.functions().front()->region(0).front());
+    ir::Value *dim = builder.constantIndex(64);
+    builder.create("crossbar.alloc_tile", {dim, dim},
+                   {ctx->opaqueType("crossbar", "tile_id")});
+
     core::CompilerOptions options;
     options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
-    options.treeWalkExecution = true;
     core::Compiler compiler(options);
-    core::CompiledKernel kernel = compiler.compileTorchScript(
-        apps::dotSimilaritySource(1, 8, 64, 1));
-    EXPECT_EQ(kernel.executionPlan(), nullptr);
+    return compiler.compileModule(ctx, std::move(module));
+}
 
-    auto stored = randomRows(8, 64, 3);
-    core::ExecutionSession session = kernel.createSession(
-        {rt::Buffer::fromMatrix({stored[0]}),
-         rt::Buffer::fromMatrix(stored)});
-    EXPECT_FALSE(session.usesPlan());
-    EXPECT_TRUE(session.persistent());
+} // namespace
+
+TEST(ExecutionPlan, OutOfVocabularyModuleThrowsLocatedCompilerError)
+{
+    // No silent fallback: a kernel the plan compiler cannot handle
+    // fails while the CompiledKernel is built, naming the op and its
+    // function -- it never executes some other way.
+    try {
+        compileKernelWithCrossbarOp();
+        FAIL() << "expected CompilerError";
+    } catch (const CompilerError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("plan compiler"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("crossbar.alloc_tile"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("in function 'forward'"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
+TEST(ExecutionPlan, FailedCompileIsNeverCached)
+{
+    core::PlanCache &cache = core::PlanCache::instance();
+    // Counters are process-global: assert deltas only.
+    core::PlanCacheStats before = cache.stats();
+    EXPECT_THROW(compileKernelWithCrossbarOp(), CompilerError);
+    core::PlanCacheStats after_first = cache.stats();
+    EXPECT_EQ(after_first.misses, before.misses + 1);
+    EXPECT_EQ(after_first.entries, before.entries);
+
+    // Same shape again: compiled (and rejected) again, not served a
+    // cached failure.
+    EXPECT_THROW(compileKernelWithCrossbarOp(), CompilerError);
+    core::PlanCacheStats after_second = cache.stats();
+    EXPECT_EQ(after_second.misses, before.misses + 2);
+    EXPECT_EQ(after_second.hits, before.hits);
+    EXPECT_EQ(after_second.entries, before.entries);
 }
 
 TEST(ExecutionPlan, SingleShotDifferentialAcrossTierOneKernels)
@@ -172,20 +226,12 @@ TEST(ExecutionPlan, SingleShotDifferentialAcrossTierOneKernels)
     auto query = rt::Buffer::fromMatrix({stored[5]});
 
     for (const KernelConfig &cfg : tierOneKernels(rows, dims)) {
-        core::CompilerOptions walk_options = cfg.options;
-        walk_options.treeWalkExecution = true;
+        core::Compiler compiler(cfg.options);
+        core::CompiledKernel kernel = compiler.compileTorchScript(cfg.source);
 
-        core::Compiler plan_compiler(cfg.options);
-        core::CompiledKernel plan_kernel =
-            plan_compiler.compileTorchScript(cfg.source);
-        core::Compiler walk_compiler(walk_options);
-        core::CompiledKernel walk_kernel =
-            walk_compiler.compileTorchScript(cfg.source);
-
-        core::ExecutionResult via_plan =
-            plan_kernel.run({query, stored_buf});
+        core::ExecutionResult via_plan = kernel.run({query, stored_buf});
         core::ExecutionResult via_walk =
-            walk_kernel.run({query, stored_buf});
+            oracle::treeWalkRun(kernel, cfg.options, {query, stored_buf});
 
         SCOPED_TRACE(cfg.name);
         expectOutputsEqual(via_plan.outputs, via_walk.outputs);
@@ -201,28 +247,18 @@ TEST(ExecutionPlan, SessionDifferentialTreeWalkPlanAndFusedK1)
     auto stored_buf = rt::Buffer::fromMatrix(stored);
 
     for (const KernelConfig &cfg : tierOneKernels(rows, dims)) {
-        core::CompilerOptions walk_options = cfg.options;
-        walk_options.treeWalkExecution = true;
-
-        core::Compiler plan_compiler(cfg.options);
-        core::CompiledKernel plan_kernel =
-            plan_compiler.compileTorchScript(cfg.source);
-        core::Compiler walk_compiler(walk_options);
-        core::CompiledKernel walk_kernel =
-            walk_compiler.compileTorchScript(cfg.source);
+        core::Compiler compiler(cfg.options);
+        core::CompiledKernel kernel = compiler.compileTorchScript(cfg.source);
 
         auto setup_args = std::vector<rt::BufferPtr>{
             rt::Buffer::fromMatrix({stored[0]}), stored_buf};
-        core::ExecutionSession plan_session =
-            plan_kernel.createSession(setup_args);
-        core::ExecutionSession walk_session =
-            walk_kernel.createSession(setup_args);
+        core::ExecutionSession plan_session = kernel.createSession(setup_args);
+        oracle::TreeWalkSession walk_session(kernel, cfg.options,
+                                             setup_args);
         core::ExecutionSession fused_session =
-            plan_kernel.createSession(setup_args);
+            kernel.createSession(setup_args);
 
         SCOPED_TRACE(cfg.name);
-        EXPECT_EQ(plan_session.usesPlan(), true);
-        EXPECT_EQ(walk_session.usesPlan(), false);
 
         for (std::int64_t q = 0; q < rows; ++q) {
             auto args = std::vector<rt::BufferPtr>{

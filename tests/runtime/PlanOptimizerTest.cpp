@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "dialects/AllDialects.h"
@@ -321,12 +323,12 @@ TEST(PlanOptimizer, DeviceKernelGrowsFusedSuperops)
     options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
     options.spec.camType = arch::CamDeviceType::Mcam;
     options.spec.bitsPerCell = 2;
-    options.optimizePlans = false;
     core::Compiler compiler(options);
     core::CompiledKernel kernel = compiler.compileTorchScript(
         apps::knnEuclideanSource(1, 16, 32, 2));
-    std::shared_ptr<const rt::ExecutionPlan> raw = kernel.executionPlan();
-    ASSERT_TRUE(raw);
+    std::shared_ptr<const rt::ExecutionPlan> raw =
+        rt::ExecutionPlan::compile(std::as_const(kernel).module(),
+                                   kernel.entryPoint());
 
     rt::PlanOptReport report;
     auto opt = rt::PlanOptimizer::optimize(*raw, rt::PlanOptOptions{},
@@ -377,15 +379,14 @@ TEST(PlanOptimizer, OptimizedDeviceKernelBitIdenticalToUnoptimized)
     options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
     options.spec.camType = arch::CamDeviceType::Mcam;
     options.spec.bitsPerCell = 2;
-    core::Compiler optimizing(options);
-    options.optimizePlans = false;
-    core::Compiler rawc(options);
-    std::string source = apps::knnEuclideanSource(1, 16, 32, 2);
+    core::Compiler compiler(options);
+    core::CompiledKernel kernel = compiler.compileTorchScript(
+        apps::knnEuclideanSource(1, 16, 32, 2));
+    auto raw = rt::ExecutionPlan::compile(std::as_const(kernel).module(),
+                                          kernel.entryPoint());
 
-    core::CompiledKernel okernel = optimizing.compileTorchScript(source);
-    core::CompiledKernel rkernel = rawc.compileTorchScript(source);
-    auto oresult = okernel.run(args);
-    auto rresult = rkernel.run(args);
+    auto oresult = kernel.run(args);
+    auto rresult = core::runKernelOnce(*raw, options, args);
     expectOutputsEqual(oresult.outputs, rresult.outputs);
     EXPECT_EQ(oresult.perf.toJson().dump(2),
               rresult.perf.toJson().dump(2));

@@ -62,9 +62,7 @@
  * Plan-pipeline introspection: --dump-plan[=FILE] disassembles the
  * kernel's compiled (optimized) ExecutionPlan; --plan-opt-debug prints
  * the per-pass before/after bytecode of the rt::PlanOptimizer pipeline
- * on this kernel; --no-plan-opt replays the raw 1:1 plan instead of
- * the optimized one (differential testing, like --tree-walk one level
- * up). Every run reports the process-wide PlanCache counters (text
+ * on this kernel. Every run reports the process-wide PlanCache counters (text
  * line and "plan_cache" object in --json); with --trace-out, compiles
  * and cache hits additionally appear as plan-compile/plan-cache-hit
  * spans.
@@ -108,11 +106,11 @@ usage()
     std::cerr << "usage: c4cam-run <kernel.py|-> [--arch spec.json]"
               << " [--seed N] [--queries-equal-rows] [--print-ir]"
               << " [--host-only] [--batch N] [--json] [--threads N]"
-              << " [--tree-walk] [--shards M] [--async]"
+              << " [--shards M] [--async]"
               << " [--queue-depth N]"
               << " [--policy block|reject|drop-oldest] [--fuse-k N]"
               << " [--trace-out FILE] [--dump-plan[=FILE]]"
-              << " [--plan-opt-debug] [--no-plan-opt]"
+              << " [--plan-opt-debug]"
               << " [--fusion-model]"
               << " [--fault-spec FILE] [--fault-rate X] [--retries N]"
               << " [--deadline-us N] [--allow-degraded]\n";
@@ -179,8 +177,6 @@ main(int argc, char **argv)
     bool print_ir = false;
     bool host_only = false;
     bool json = false;
-    bool tree_walk = false;
-    bool no_plan_opt = false;
     bool true_fused = false;
     bool dump_plan = false;
     std::string dump_plan_path;
@@ -278,15 +274,6 @@ main(int argc, char **argv)
             print_ir = true;
         } else if (arg == "--host-only") {
             host_only = true;
-        } else if (arg == "--tree-walk") {
-            // Differential-testing escape hatch: execute through the
-            // tree-walking interpreter instead of the compiled
-            // execution plan (results must be bit-identical).
-            tree_walk = true;
-        } else if (arg == "--no-plan-opt") {
-            // One level up from --tree-walk: still replay a compiled
-            // plan, but the raw transcription, not the optimized one.
-            no_plan_opt = true;
         } else if (arg == "--fusion-model") {
             // True fused-search device model: fused windows charge the
             // precharge/drive once per pass instead of re-attributing
@@ -303,6 +290,8 @@ main(int argc, char **argv)
             plan_opt_debug = true;
         } else if (arg == "--help" || arg == "-h") {
             return usage();
+        } else if (arg.size() > 1 && arg[0] == '-') {
+            return usage(); // unknown flag, never a kernel path
         } else if (input_path.empty()) {
             input_path = arg;
         } else {
@@ -379,8 +368,6 @@ main(int argc, char **argv)
         if (!arch_path.empty())
             options.spec = arch::ArchSpec::fromFile(arch_path);
         options.hostOnly = host_only;
-        options.treeWalkExecution = tree_walk;
-        options.optimizePlans = !no_plan_opt;
         options.fusionModel = true_fused ? sim::FusionModel::TrueFused
                                          : sim::FusionModel::ExactSerial;
 
@@ -419,11 +406,8 @@ main(int argc, char **argv)
         core::CompiledKernel kernel = compiler.compileTorchScript(source);
 
         if (dump_plan) {
-            auto plan = kernel.executionPlan();
-            C4CAM_CHECK(plan, "--dump-plan: the kernel has no compiled "
-                        "plan (tree-walk mode, or the module is outside "
-                        "the plan compiler's vocabulary)");
-            std::string text = rt::PlanOptimizer::disassemble(*plan);
+            std::string text =
+                rt::PlanOptimizer::disassemble(*kernel.executionPlan());
             if (dump_plan_path.empty()) {
                 std::cout << text;
             } else {
@@ -435,11 +419,11 @@ main(int argc, char **argv)
         }
         if (plan_opt_debug) {
             // Re-derive the raw transcription and re-run the optimizer
-            // with snapshots on, so the printed pipeline matches this
-            // kernel even when the cached plan skipped the passes.
+            // with snapshots on (the cached plan kept no per-pass
+            // history).
             auto raw = rt::ExecutionPlan::compile(
                 std::as_const(kernel).module(), kernel.entryPoint());
-            rt::PlanOptOptions dbg = options.planOpt;
+            rt::PlanOptOptions dbg;
             dbg.collectDumps = true;
             rt::PlanOptReport report;
             rt::PlanOptimizer::optimize(*raw, dbg, &report);
