@@ -403,8 +403,8 @@ AsyncServingEngine::dispatchLoop()
             qargs.reserve(n);
             for (const Pending &p : group)
                 qargs.push_back(p.args);
-            // Args were validated at admission; dispatch through the
-            // backend's non-revalidating primitives.
+            // Args were validated at admission; the backend's own
+            // re-check cannot fail here.
             try {
                 FusedBatchResult fused = backend_->serveFusedChunk(
                     qargs, 0, qargs.size(), col ? &ctxs : nullptr);

@@ -9,14 +9,14 @@
  * A synchronous backend serves queries as fast as its devices allow
  * but has no admission decision anywhere: producers outpace it and
  * in-flight work grows without bound. AsyncServingEngine adds that
- * layer over any core::QueryBackend -- a ServingEngine replica pool,
- * a single ExecutionSession, or a ShardedEngine fanning out across M
- * devices:
+ * layer over any core::QueryBackend -- a ServingEngine pool of replica
+ * sessions (one replica for a single device), or a ShardedEngine
+ * fanning out across M devices:
  *
  *   producers -> BoundedQueue (capacity + overflow policy)
  *             -> dispatcher threads (one per backend concurrency slot
  *                by default)
- *             -> QueryBackend (replicas / session / shards)
+ *             -> QueryBackend (replicas / shards)
  *
  * @code
  *   auto engine = kernel.createAsyncServingEngine(setup_args, 4, {});

@@ -6,6 +6,12 @@
 
 namespace c4cam::core {
 
+namespace {
+
+/**
+ * Setup cost of a *non-persistent* fused batch: the summed setup
+ * fields of the per-query full re-runs.
+ */
 sim::PerfReport
 nonPersistentSetupTotal(const std::vector<ExecutionResult> &results)
 {
@@ -24,6 +30,22 @@ nonPersistentSetupTotal(const std::vector<ExecutionResult> &results)
         setup.banksUsed = std::max(setup.banksUsed, r.perf.banksUsed);
     }
     return setup;
+}
+
+} // namespace
+
+FusedBatchResult
+synthesizeFusedBatch(std::vector<ExecutionResult> results, bool persistent,
+                     const sim::PerfReport &setup)
+{
+    FusedBatchResult batch;
+    batch.results = std::move(results);
+    batch.fused.k = static_cast<std::int64_t>(batch.results.size());
+    for (const ExecutionResult &r : batch.results)
+        batch.fused.addQueryReport(r.perf);
+    batch.fusedReport = batch.fused.toReport(
+        persistent ? setup : nonPersistentSetupTotal(batch.results));
+    return batch;
 }
 
 ExecutionSession::ExecutionSession(
@@ -62,33 +84,70 @@ ExecutionSession::enableTracing(support::TraceCollector *collector)
     traceId_ = collector ? collector->newTraceId() : 0;
 }
 
+ExecutionSession
+ExecutionSession::cloneProgrammed() const
+{
+    ExecutionSession copy;
+    copy.ctx_ = ctx_;
+    copy.options_ = options_;
+    copy.entry_ = entry_;
+    copy.entryBody_ = entryBody_;
+    if (device_)
+        copy.device_ = device_->cloneProgrammed();
+    copy.plan_ = plan_;
+    // Slot frames fork by plain copy: setup results are immutable once
+    // programmed, and device handles stay valid on the cloned device.
+    copy.frame_ = frame_;
+    copy.persistent_ = persistent_;
+    copy.setupReport_ = setupReport_;
+    copy.aggregate_ = setupReport_;
+    return copy;
+}
+
 ExecutionResult
-ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args)
+ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args,
+                           const support::SpanContext *parent)
 {
     validateKernelArgs(entryBody_, entry_, args);
+    ExecutionResult result = execute(args, parent);
+    accumulate(result.perf);
+    return result;
+}
 
+ExecutionResult
+ExecutionSession::execute(const std::vector<rt::BufferPtr> &args,
+                          const support::SpanContext *parent)
+{
+    // This query's tracing context: execute and merge parent under
+    // ctx.parentSpanId, which is the caller's span or, when the
+    // session traces on its own, the root this call records.
     // Tracing is an id handout plus four clock reads per query when a
-    // collector is installed, and three predictable null checks when
-    // not -- it never touches the device or the result, so outputs and
+    // collector is installed, and predictable null checks when not --
+    // it never touches the device or the result, so outputs and
     // PerfReports stay bit-identical either way.
-    support::TraceCollector *col = trace_;
-    std::uint64_t queryId = 0, rootSpan = 0, execSpan = 0;
-    double t0 = 0.0;
-    if (col) {
-        queryId = col->newQueryId();
-        rootSpan = col->newSpanId();
-        execSpan = col->newSpanId();
-        t0 = col->nowUs();
+    support::SpanContext ctx;
+    bool own_root = false;
+    if (parent) {
+        ctx = *parent;
+    } else if (trace_) {
+        ctx.collector = trace_;
+        ctx.traceId = traceId_;
+        ctx.queryId = trace_->newQueryId();
+        ctx.parentSpanId = trace_->newSpanId(); // becomes the root id
+        own_root = true;
     }
+    support::TraceCollector *col = ctx.collector;
+    std::uint64_t execSpan = col ? col->newSpanId() : 0;
+    double t0 = col ? col->nowUs() : 0.0;
 
     auto span = [&](const char *name, std::uint64_t id,
-                    std::uint64_t parent, double start, double end) {
+                    std::uint64_t parent_id, double start, double end) {
         support::TraceEvent ev;
         ev.name = name;
-        ev.traceId = traceId_;
-        ev.queryId = queryId;
+        ev.traceId = ctx.traceId;
+        ev.queryId = ctx.queryId;
         ev.spanId = id;
-        ev.parentSpanId = parent;
+        ev.parentSpanId = parent_id;
         ev.startUs = start;
         ev.durUs = end - start;
         return ev;
@@ -97,15 +156,15 @@ ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args)
     ExecutionResult result;
     try {
         if (!persistent_) {
-            result = runNonPersistent(args);
+            result = runKernelOnce(*plan_, options_, args);
         } else {
             // Reset the query accounting window so this report's query
             // fields cover exactly this call (and match a single-shot
             // run bit-for-bit).
             device_->beginQueryWindow();
             if (col)
-                frame_.trace =
-                    support::SpanContext{col, traceId_, queryId, execSpan};
+                frame_.trace = support::SpanContext{col, ctx.traceId,
+                                                    ctx.queryId, execSpan};
             result.outputs =
                 plan_->run(frame_, device_.get(), rt::toRtValues(args),
                            rt::ExecutionPlan::ExecPhase::QueryOnly);
@@ -118,45 +177,37 @@ ExecutionSession::runQuery(const std::vector<rt::BufferPtr> &args)
         frame_.trace = support::SpanContext{};
         if (persistent_) {
             // Close the scopes the unwind left open so the session
-            // stays servable.
+            // stays servable (a transient fault is retried on it).
             device_->abortQueryWindow();
         }
         if (col) {
             // The replay's RAII "plan-replay" span already recorded
-            // under execSpan during unwinding; record execute and its
-            // root so the trace stays parent-resolvable.
+            // under execSpan during unwinding; record execute (and the
+            // root, when owned) so the trace stays parent-resolvable.
             double now = col->nowUs();
-            col->record(span("execute", execSpan, rootSpan, t0, now));
-            col->record(span("query", rootSpan, 0, t0, now));
+            col->record(span("execute", execSpan, ctx.parentSpanId, t0, now));
+            if (own_root)
+                col->record(span("query", ctx.parentSpanId, 0, t0, now));
         }
         throw;
     }
     double e1 = col ? col->nowUs() : 0.0;
     if (persistent_) {
-        // Merge stage: render the window into the report and fold it
-        // into the session aggregate.
+        // Merge stage: render the window into the report.
         result.perf = device_->report();
         result.perf.queriesServed = 1;
-        accumulate(result.perf);
-        ++queriesServed_;
     }
     if (col) {
         double m1 = col->nowUs();
-        support::TraceEvent exec = span("execute", execSpan, rootSpan, t0, e1);
+        support::TraceEvent exec =
+            span("execute", execSpan, ctx.parentSpanId, t0, e1);
         sim::attachWindowBreakdown(exec, result.perf);
         col->record(exec);
-        col->record(span("merge", col->newSpanId(), rootSpan, e1, m1));
-        col->record(span("query", rootSpan, 0, t0, m1));
+        col->record(
+            span("merge", col->newSpanId(), ctx.parentSpanId, e1, m1));
+        if (own_root)
+            col->record(span("query", ctx.parentSpanId, 0, t0, m1));
     }
-    return result;
-}
-
-ExecutionResult
-ExecutionSession::runNonPersistent(const std::vector<rt::BufferPtr> &args)
-{
-    ExecutionResult result = runKernelOnce(*plan_, options_, args);
-    accumulate(result.perf);
-    ++queriesServed_;
     return result;
 }
 
@@ -170,6 +221,7 @@ ExecutionSession::accumulate(const sim::PerfReport &perf)
         // the aggregate so amortization reflects reality.
         aggregate_.addFullRun(perf);
     }
+    ++queriesServed_;
 }
 
 std::vector<ExecutionResult>
@@ -193,38 +245,37 @@ ExecutionSession::runFusedBatch(
     for (const auto &args : queries)
         validateKernelArgs(entryBody_, entry_, args);
 
+    std::vector<ExecutionResult> results;
+    results.reserve(queries.size());
     FusedBatchResult batch;
-    batch.results.reserve(queries.size());
-
     if (!persistent_) {
         // Non-persistent fallback (host-only kernels, or device
         // kernels without phase markers): no programmed device to
-        // open a fused window on; synthesize the fused accounting
-        // from the per-query reports. Setup was re-paid per query, so
-        // the fused report carries the summed setup, not this
-        // session's (empty) one-time setup.
+        // open a fused window on.
         for (const auto &args : queries)
-            batch.results.push_back(runQuery(args));
-        batch.fused.k = static_cast<std::int64_t>(queries.size());
-        for (const auto &r : batch.results)
-            batch.fused.addQueryReport(r.perf);
-        batch.fusedReport =
-            batch.fused.toReport(nonPersistentSetupTotal(batch.results));
-        return batch;
+            results.push_back(execute(args, nullptr));
+        batch = synthesizeFusedBatch(std::move(results), false,
+                                     setupReport_);
+    } else {
+        device_->beginFusedWindow(static_cast<int>(queries.size()));
+        try {
+            for (const auto &args : queries)
+                results.push_back(execute(args, nullptr));
+            batch.fused = device_->endFusedWindow();
+        } catch (...) {
+            // A failed query leaves the partial fused accounting
+            // meaningless; discard it so the session stays servable.
+            device_->abortFusedWindow();
+            throw;
+        }
+        batch.results = std::move(results);
+        batch.fusedReport = batch.fused.toReport(setupReport_);
     }
-
-    device_->beginFusedWindow(static_cast<int>(queries.size()));
-    try {
-        for (const auto &args : queries)
-            batch.results.push_back(runQuery(args));
-    } catch (...) {
-        // A failed query leaves the partial fused accounting
-        // meaningless; discard it so the session stays servable.
-        device_->abortFusedWindow();
-        throw;
-    }
-    batch.fused = device_->endFusedWindow();
-    batch.fusedReport = batch.fused.toReport(setupReport_);
+    // Count the batch only now that all of it succeeded: a failed
+    // batch hands the caller no results, so a retry must not find its
+    // served prefix already counted.
+    for (const ExecutionResult &r : batch.results)
+        accumulate(r.perf);
     return batch;
 }
 

@@ -74,13 +74,17 @@ struct FusedBatchResult
 };
 
 /**
- * Setup cost of a *non-persistent* fused batch: every full re-run
- * re-pays setup, so the synthesized fused report must carry the
- * summed setup fields of the per-query reports -- never claim free
- * setup. Shared by the session and engine fallback paths.
+ * Fused accounting synthesized from per-query @p results, for batches
+ * with no device pass to fuse (host-only fallback) or whose reports
+ * are merged on the host (sharded serving): k and the totals come
+ * from the per-query reports. The fused report carries @p setup when
+ * @p persistent; otherwise every full re-run re-paid setup, so it
+ * carries the summed setup fields of the per-query reports -- never
+ * claiming free setup.
  */
-sim::PerfReport
-nonPersistentSetupTotal(const std::vector<ExecutionResult> &results);
+FusedBatchResult synthesizeFusedBatch(std::vector<ExecutionResult> results,
+                                      bool persistent,
+                                      const sim::PerfReport &setup);
 
 /**
  * A live kernel instance on a programmed CAM device.
@@ -117,12 +121,30 @@ class ExecutionSession
     ExecutionSession &operator=(ExecutionSession &&) = default;
 
     /**
+     * Fork this session for another serving replica without paying
+     * setup again: the device is copied with
+     * sim::CamDevice::cloneProgrammed() (same programmed cells, setup
+     * accounting and handle numbering, so the copied slot frame keeps
+     * addressing the right subarrays), the plan is shared read-only
+     * and the fork starts with nothing served and tracing off.
+     * Host-only sessions fork without a device. Call between queries.
+     */
+    ExecutionSession cloneProgrammed() const;
+
+    /**
      * Serve one query batch: re-enters only the search/read/merge
      * portion of the kernel. @p args must match the function signature;
      * the stored-data argument is ignored by the query body (the
      * device keeps the data programmed at session creation).
+     *
+     * @p parent, when non-null, is the caller's tracing context: the
+     * query's "execute" and "merge" spans are recorded under
+     * parent->parentSpanId (into parent->collector, if any) and the
+     * caller owns the root span. Without it, a session with tracing
+     * enabled records its own "query" root.
      */
-    ExecutionResult runQuery(const std::vector<rt::BufferPtr> &args);
+    ExecutionResult runQuery(const std::vector<rt::BufferPtr> &args,
+                             const support::SpanContext *parent = nullptr);
 
     /** Serve @p batches in order; one ExecutionResult per entry. */
     std::vector<ExecutionResult>
@@ -141,7 +163,9 @@ class ExecutionSession
      * subarray's precharge/drive once, so the totals come in strictly
      * below the serial sum. Host-only sessions synthesize the fused
      * accounting from the per-query reports (no device pass to fuse,
-     * so TrueFused changes nothing there).
+     * so TrueFused changes nothing there). The batch is counted in
+     * queriesServed() / aggregateReport() only when every query of it
+     * succeeded.
      */
     FusedBatchResult
     runFusedBatch(const std::vector<std::vector<rt::BufferPtr>> &queries);
@@ -197,7 +221,15 @@ class ExecutionSession
     sim::CamDevice *device() { return device_.get(); }
 
   private:
-    ExecutionResult runNonPersistent(const std::vector<rt::BufferPtr> &args);
+    /** Shell for cloneProgrammed() to fill in. */
+    ExecutionSession() = default;
+
+    /** runQuery() on validated @p args, without counting the query
+     *  in the session aggregate. */
+    ExecutionResult execute(const std::vector<rt::BufferPtr> &args,
+                            const support::SpanContext *parent);
+
+    /** Count one served query in the session aggregate. */
     void accumulate(const sim::PerfReport &perf);
 
     std::shared_ptr<ir::Context> ctx_;

@@ -14,9 +14,9 @@
  * serve it (optionally as part of a fused chunk) and account for it
  * can sit behind the bounded queue. Two implementations exist:
  *
- *  - ServingEngine: N cloned replicas of one programmed device
- *    (core/ServingEngine.h); with one replica it is the minimal
- *    single-device backend;
+ *  - ServingEngine: N replica ExecutionSessions forked from one
+ *    programmed session (core/ServingEngine.h); with one replica it
+ *    is the minimal single-device backend;
  *  - ShardedEngine: the stored-vector axis partitioned across M
  *    programmed devices with scatter-gather top-k merge
  *    (core/ShardedEngine.h).
@@ -36,13 +36,16 @@
  *    calls (concurrency() says how many make progress in parallel).
  */
 
+#include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "core/ExecutionSession.h"
 #include "core/PlanCache.h"
 #include "runtime/Buffer.h"
 #include "sim/Timing.h"
+#include "support/Stats.h"
 #include "support/Trace.h"
 
 namespace c4cam::core {
@@ -92,6 +95,54 @@ struct ServingStats
      *  backends -- replicas, shards and sessions all compile through
      *  the same cache; see core/PlanCache.h). */
     PlanCacheStats planCache;
+};
+
+/**
+ * The serving statistics every backend keeps: the simulated aggregate
+ * (setup once, then each served query folded in completion order),
+ * the served count, a bounded window of host latencies and the
+ * first-submit / last-done times qps is measured over. Thread-safe.
+ * Backend-specific counters (retries, quarantines, degraded serves)
+ * are filled in by the backend on top of snapshot().
+ */
+class ServingRecorder
+{
+  public:
+    using Clock = std::chrono::steady_clock;
+
+    /** Start from @p setup; @p persistent selects whether a served
+     *  report adds only its query window or a full re-run (setup
+     *  re-paid, see sim::PerfReport::addFullRun). */
+    ServingRecorder(const sim::PerfReport &setup, bool persistent)
+        : persistent_(persistent), aggregate_(setup)
+    {
+    }
+
+    /** Count one query served from @p start to @p done. */
+    void record(const sim::PerfReport &perf, Clock::time_point start,
+                Clock::time_point done);
+
+    std::int64_t served() const;
+
+    /** Everything above as ServingStats (plus the PlanCache counters);
+     *  the fault-recovery fields are left 0. */
+    ServingStats snapshot() const;
+
+  private:
+    const bool persistent_;
+
+    mutable std::mutex mutex_;
+    /// @name Guarded by mutex_
+    /// @{
+    sim::PerfReport aggregate_;
+    std::int64_t served_ = 0;
+    /** Bounded: snapshot() sorts it per call and a serving engine can
+     *  live for millions of queries. */
+    support::LatencyWindow latenciesUs_;
+    bool anyServed_ = false;
+    Clock::time_point firstSubmit_;
+    Clock::time_point lastDone_;
+    /// @}
 };
 
 /**
@@ -155,8 +206,8 @@ class QueryBackend
 
     /**
      * How many serve() calls make progress in parallel (replica
-     * count, shard replica depth, 1 for a single session). The async
-     * front-end sizes its dispatcher thread count from this.
+     * count, or replicas per shard). The async front-end sizes its
+     * dispatcher thread count from this.
      */
     virtual int concurrency() const = 0;
 

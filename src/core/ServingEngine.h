@@ -7,9 +7,10 @@
  *
  * An ExecutionSession serves queries one at a time on one programmed
  * device. A ServingEngine scales that out across host threads: it
- * programs one device (paying setup once), replicates it with
- * CamDevice::cloneProgrammed() into N independent replicas, and drives
- * them behind a work queue with one worker thread per replica.
+ * creates one session (paying setup once), forks it with
+ * ExecutionSession::cloneProgrammed() into N independent replica
+ * sessions, and drives them behind a work queue with one worker
+ * thread per replica.
  *
  * @code
  *   core::CompiledKernel kernel = compiler.compileTorchScript(src);
@@ -29,20 +30,27 @@
  *    work, not simulated device work) and sums the query windows over
  *    all served queries, exactly like a serial session.
  *
- * Threading model: the compiled ExecutionPlan is shared read-only;
- * each replica owns its CamDevice and PlanFrame and serves at most one
- * query at a time (enforced by the free-list).
- * Queries must not alias writable buffers across concurrent
- * submissions (inputs are read-only; outputs are freshly allocated per
- * query).
+ * Threading model: each replica is an ExecutionSession that owns its
+ * CamDevice and PlanFrame, shares the compiled ExecutionPlan read-only
+ * with the others, and serves at most one query at a time (the engine
+ * hands sessions out from a free-list). The session runs the whole
+ * per-query step -- query window, plan replay, report, spans, and the
+ * window rollback after a failure -- so the engine only picks a
+ * session, retries transient faults, owns root spans and keeps the
+ * engine-wide stats (a replica session's own aggregate is not the
+ * engine's). Queries must not alias writable buffers across
+ * concurrent submissions (inputs are read-only; outputs are freshly
+ * allocated per query).
  */
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,19 +61,18 @@
 #include "runtime/Buffer.h"
 #include "runtime/ExecutionPlan.h"
 #include "sim/CamDevice.h"
-#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 namespace c4cam::core {
 
 /**
- * N programmed device replicas behind a work queue.
+ * N replica sessions behind a work queue.
  *
- * For host-only kernels (no cam ops, nothing to replicate) the engine
- * transparently falls back to independent full executions per query --
- * still parallel (runKernelOnce builds per-call state), just without
- * persistent devices; persistent() tells the modes apart.
+ * For host-only kernels (no cam ops, nothing to replicate) the
+ * replica sessions fall back to independent full executions per query
+ * -- still parallel (runKernelOnce builds per-call state), just
+ * without persistent devices; persistent() tells the modes apart.
  *
  * The engine borrows the kernel's lowered module: the CompiledKernel
  * must outlive (and not be moved while used by) its engines. Prefer
@@ -76,9 +83,9 @@ class ServingEngine : public QueryBackend
   public:
     /**
      * @p plan is the instruction stream to replay; when null the
-     * engine compiles the optimized plan itself. Every replica replays
-     * the shared plan over its own slot frame. Only the entry
-     * signature is read from @p module.
+     * first replica session compiles the optimized plan itself. Every
+     * replica replays the shared plan over its own slot frame. Only
+     * the entry signature is read from @p module.
      */
     ServingEngine(std::shared_ptr<ir::Context> ctx,
                   const ir::Module &module,
@@ -129,23 +136,19 @@ class ServingEngine : public QueryBackend
      * Validate @p args against the kernel signature without serving
      * (throws CompilerError on mismatch). The async front-end calls
      * this at submission time so malformed queries fail on the
-     * submitter's stack instead of inside a dispatcher thread; its
-     * dispatchers then serve through the non-revalidating
-     * serve()/serveFusedChunk() primitives.
+     * submitter's stack instead of inside a dispatcher thread.
      */
     void
     validateQuery(const std::vector<rt::BufferPtr> &args) const override
     {
-        validateKernelArgs(entryBody_, entry_, args);
+        sessions_.front()->validateQuery(args);
     }
 
     /**
-     * Acquire a replica, serve one query, record stats, release. Does
-     * NOT revalidate @p args (the QueryBackend contract: validation
-     * happened at admission; re-walking the kernel signature per
-     * dispatch would be pure overhead on the hot path). With engine
-     * tracing on and no caller-provided @p ctx, opens (and records)
-     * this query's root span itself.
+     * Acquire a replica, serve one query, record stats, release. The
+     * replica session validates @p args (throws CompilerError on a
+     * mismatch). With engine tracing on and no caller-provided @p ctx,
+     * opens (and records) this query's root span itself.
      */
     ExecutionResult
     serve(const std::vector<rt::BufferPtr> &args,
@@ -153,7 +156,8 @@ class ServingEngine : public QueryBackend
 
     /** Serve one fused chunk on a replica acquired for the chunk.
      *  @p ctxs, when non-null, holds one per-query tracing context for
-     *  queries [begin, end). Like serve(), does not revalidate. */
+     *  queries [begin, end). Throws CompilerError, before touching a
+     *  replica, when the range is empty or exceeds @p queries. */
     FusedBatchResult serveFusedChunk(
         const std::vector<std::vector<rt::BufferPtr>> &queries,
         std::size_t begin, std::size_t end,
@@ -212,14 +216,18 @@ class ServingEngine : public QueryBackend
     /** Aggregate metrics over everything served so far. */
     ServingStats stats() const override;
 
-    /** One-time setup cost of the master replica. */
+    /** One-time setup cost of the first replica (the others are
+     *  forked from it for free). */
     const sim::PerfReport &setupReport() const override
     {
-        return setupReport_;
+        return sessions_.front()->setupReport();
     }
 
-    bool persistent() const override { return persistent_; }
-    int numReplicas() const { return static_cast<int>(replicas_.size()); }
+    bool persistent() const override
+    {
+        return sessions_.front()->persistent();
+    }
+    int numReplicas() const { return static_cast<int>(sessions_.size()); }
 
     /** One serve() makes progress per replica. */
     int concurrency() const override { return numReplicas(); }
@@ -227,34 +235,14 @@ class ServingEngine : public QueryBackend
     std::int64_t queriesServed() const override;
 
   private:
-    /** One programmed device copy + its post-setup slot frame. */
-    struct Replica
-    {
-        std::unique_ptr<sim::CamDevice> device;
-        rt::PlanFrame frame;
-    };
+    ExecutionSession *acquireSession();
+    void releaseSession(ExecutionSession *session);
 
-    Replica *acquireReplica();
-    void releaseReplica(Replica *replica);
-
-    /** Serve one query on @p replica (fresh window, QueryOnly).
-     *  @p ctx, when tracing, parents this query's execute/merge spans
-     *  (the async front-end points it at its dispatch span). */
-    ExecutionResult serveOn(Replica &replica,
-                            const std::vector<rt::BufferPtr> &args,
-                            const support::SpanContext *ctx = nullptr);
-
-    void recordServed(const sim::PerfReport &perf, double latency_s,
-                      std::chrono::steady_clock::time_point start,
-                      std::chrono::steady_clock::time_point done);
-
-    CompilerOptions options_;
-    std::string entry_;
-    ir::Block *entryBody_ = nullptr;
-    std::shared_ptr<ir::Context> ctx_;
-
-    bool persistent_ = false;
-    sim::PerfReport setupReport_;
+    /** Run @p task(0) .. @p task(count - 1) on up to @p threads pool
+     *  lanes (the runBatch() cap) and rethrow the first failure once
+     *  every lane stopped. */
+    void runOnLanes(std::size_t count, int threads,
+                    const std::function<void(std::size_t)> &task);
 
     /// @name Tracing (off unless enableTracing() installed a collector)
     /// @{
@@ -262,17 +250,14 @@ class ServingEngine : public QueryBackend
     std::uint64_t traceId_ = 0;
     /// @}
 
-    /** Shared compiled instruction stream. */
-    std::shared_ptr<const rt::ExecutionPlan> plan_;
+    /** Replica sessions (index 0 ran setup; the rest are its forks). */
+    std::vector<std::unique_ptr<ExecutionSession>> sessions_;
 
-    /** Replica storage (index 0 is the master that ran setup). */
-    std::vector<std::unique_ptr<Replica>> replicas_;
-
-    /// @name Free-list of idle replicas
+    /// @name Free-list of idle replica sessions
     /// @{
-    mutable std::mutex replicaMutex_;
-    std::condition_variable replicaFree_;
-    std::vector<Replica *> freeReplicas_;
+    std::mutex sessionMutex_;
+    std::condition_variable sessionFree_;
+    std::vector<ExecutionSession *> freeSessions_;
     /// @}
 
     /// @name Fault tolerance
@@ -282,26 +267,16 @@ class ServingEngine : public QueryBackend
     std::atomic<std::int64_t> retries_{0};
     /// @}
 
-    /// @name Serving statistics (guarded by statsMutex_)
-    /// @{
-    mutable std::mutex statsMutex_;
-    sim::PerfReport aggregate_;
-    std::int64_t queriesServed_ = 0;
-    /** Bounded window over the most recent queries: stats() sorts it
-     *  per call and a serving engine can live for millions of
-     *  queries. */
-    support::LatencyWindow latenciesUs_;
-    bool anyServed_ = false;
-    std::chrono::steady_clock::time_point firstSubmit_;
-    std::chrono::steady_clock::time_point lastDone_;
-    /// @}
+    /** Engine-wide serving stats (set once the first session has run
+     *  setup). */
+    std::optional<ServingRecorder> recorder_;
 
     /** The pool backing submit()/runBatch()/runFusedBatch(), created
      *  lazily on first use: the async front-end dispatches through
      *  serve()/serveFusedChunk() on its own threads and must not pay
      *  one parked pool worker per replica for the engine's lifetime.
      *  Declared last: destruction drains in-flight work while the
-     *  replicas and stats above are still alive. */
+     *  sessions and stats above are still alive. */
     support::ThreadPool &pool();
     std::mutex poolMutex_;
     std::unique_ptr<support::ThreadPool> pool_;

@@ -168,7 +168,7 @@ ShardedEngine::ShardedEngine(const CompilerOptions &options,
     }
     setupReport_ = sim::aggregateShardReports(setups);
     persistent_ = shards_.front().engine->persistent();
-    aggregate_ = setupReport_;
+    recorder_.emplace(setupReport_, persistent_);
 
     support::ThreadPoolOptions pool_options;
     pool_options.threads = shards_.size() *
@@ -297,26 +297,6 @@ ShardedEngine::mergeShardResults(
                                 : 0.0;
     }
     return out;
-}
-
-void
-ShardedEngine::recordServed(const sim::PerfReport &perf,
-                            Clock::time_point start,
-                            Clock::time_point done)
-{
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    if (persistent_)
-        aggregate_.addQueryWindow(perf);
-    else
-        aggregate_.addFullRun(perf);
-    ++queriesServed_;
-    latenciesUs_.record(
-        std::chrono::duration<double, std::micro>(done - start).count());
-    if (!anyServed_ || start < firstSubmit_)
-        firstSubmit_ = start;
-    if (!anyServed_ || done > lastDone_)
-        lastDone_ = done;
-    anyServed_ = true;
 }
 
 ShardedEngine::ShardHealth
@@ -550,7 +530,7 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
 
     ExecutionResult merged = mergeShardResults(shard_results, surviving);
     Clock::time_point t2 = Clock::now();
-    recordServed(merged.perf, t0, t2);
+    recorder_->record(merged.perf, t0, t2);
     if (merged.partial) {
         {
             std::lock_guard<std::mutex> lock(healthMutex_);
@@ -701,17 +681,14 @@ ShardedEngine::serveFusedChunk(
         std::rethrow_exception(first_error);
     }
 
-    FusedBatchResult batch;
-    batch.results.reserve(n);
-    batch.fused.k = static_cast<std::int64_t>(n);
+    std::vector<ExecutionResult> merged;
+    merged.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         std::vector<ExecutionResult> per_shard;
         per_shard.reserve(shard_batches.size());
         for (const FusedBatchResult &sb : shard_batches)
             per_shard.push_back(sb.results[i]);
-        ExecutionResult merged = mergeShardResults(per_shard, active);
-        batch.fused.addQueryReport(merged.perf);
-        batch.results.push_back(std::move(merged));
+        merged.push_back(mergeShardResults(per_shard, active));
     }
     if (active.size() < shards_.size()) {
         // The whole chunk was answered without the quarantined
@@ -719,13 +696,12 @@ ShardedEngine::serveFusedChunk(
         std::lock_guard<std::mutex> lock(healthMutex_);
         degradedServes_ += static_cast<std::int64_t>(n);
     }
-    batch.fusedReport = batch.fused.toReport(
-        persistent_ ? setupReport_
-                    : nonPersistentSetupTotal(batch.results));
+    FusedBatchResult batch =
+        synthesizeFusedBatch(std::move(merged), persistent_, setupReport_);
     Clock::time_point t2 = Clock::now();
 
-    for (std::size_t i = 0; i < n; ++i)
-        recordServed(batch.results[i].perf, t0, t2);
+    for (const ExecutionResult &r : batch.results)
+        recorder_->record(r.perf, t0, t2);
 
     if (col) {
         double u0 = col->toUs(t0);
@@ -772,30 +748,13 @@ ShardedEngine::serveFusedChunk(
 std::int64_t
 ShardedEngine::queriesServed() const
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    return queriesServed_;
+    return recorder_->served();
 }
 
 ServingStats
 ShardedEngine::stats() const
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ServingStats stats;
-    stats.queriesServed = queriesServed_;
-    stats.aggregate = aggregate_;
-    stats.aggregate.queriesServed = queriesServed_;
-    if (anyServed_) {
-        stats.wallSeconds =
-            std::chrono::duration<double>(lastDone_ - firstSubmit_)
-                .count();
-        if (stats.wallSeconds > 0.0)
-            stats.qps = static_cast<double>(queriesServed_) /
-                        stats.wallSeconds;
-    }
-    std::vector<double> sorted = latenciesUs_.sorted();
-    stats.p50LatencyUs = support::percentile(sorted, 50.0);
-    stats.p95LatencyUs = support::percentile(sorted, 95.0);
-    stats.planCache = PlanCache::instance().stats();
+    ServingStats stats = recorder_->snapshot();
     {
         std::lock_guard<std::mutex> health(healthMutex_);
         stats.quarantines = quarantines_;

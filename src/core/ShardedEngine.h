@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,6 @@
 #include "core/QueryBackend.h"
 #include "core/RetryPolicy.h"
 #include "core/ServingEngine.h"
-#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -278,10 +278,6 @@ class ShardedEngine : public QueryBackend
     mergeShardResults(const std::vector<ExecutionResult> &shard_results,
                       const std::vector<std::size_t> &shard_ids) const;
 
-    void recordServed(const sim::PerfReport &perf,
-                      std::chrono::steady_clock::time_point start,
-                      std::chrono::steady_clock::time_point done);
-
     int replicasPerShard_ = 1;
     std::size_t storedArgIndex_ = 1;
     bool allowDegraded_ = false;
@@ -315,16 +311,9 @@ class ShardedEngine : public QueryBackend
     std::uint64_t traceId_ = 0;
     /// @}
 
-    /// @name Serving statistics (guarded by statsMutex_)
-    /// @{
-    mutable std::mutex statsMutex_;
-    sim::PerfReport aggregate_;
-    std::int64_t queriesServed_ = 0;
-    support::LatencyWindow latenciesUs_;
-    bool anyServed_ = false;
-    std::chrono::steady_clock::time_point firstSubmit_;
-    std::chrono::steady_clock::time_point lastDone_;
-    /// @}
+    /** Serving stats over merged queries (set once the shards are
+     *  programmed). */
+    std::optional<ServingRecorder> recorder_;
 
     /** Scatter pool: shards * replicasPerShard workers, so every
      *  replica of every shard can be busy at once. Deadlock-free by

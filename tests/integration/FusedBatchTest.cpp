@@ -186,6 +186,53 @@ TEST(FusedBatch, EmptyBatchRejected)
     EXPECT_EQ(ok.results[0].outputs[1].asBuffer()->atInt({0, 0}), 2);
 }
 
+TEST(FusedBatch, FailedSessionBatchCountsNoServedPrefix)
+{
+    auto stored = randomRows(8, 64, 57);
+    core::CompiledKernel kernel = compileDotKernel(8, 64);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    std::vector<std::vector<rt::BufferPtr>> queries;
+    for (std::size_t i = 0; i < 4; ++i)
+        queries.push_back({rt::Buffer::fromMatrix({stored[i]}), stored_buf});
+
+    core::ExecutionSession serial = kernel.createSession(queries[0]);
+    std::vector<core::ExecutionResult> expected = serial.runBatch(queries);
+    const std::int64_t searches = expected[0].perf.searches;
+    ASSERT_GT(searches, 0);
+
+    // A transient fault on the first search of query 2 (1-based):
+    // query 1 completes inside the batch before the batch fails.
+    core::ExecutionSession session = kernel.createSession(queries[0]);
+    sim::FaultSpec spec;
+    sim::FaultRule rule;
+    rule.kind = sim::FaultRule::Kind::Transient;
+    rule.atSearch = searches + 1;
+    spec.rules.push_back(rule);
+    session.device()->attachFaultInjector(
+        std::make_shared<sim::FaultInjector>(spec));
+    EXPECT_THROW(session.runFusedBatch(queries), sim::TransientFault);
+    EXPECT_EQ(session.queriesServed(), 0);
+    EXPECT_EQ(session.aggregateReport().toJson().dump(2),
+              session.setupReport().toJson().dump(2));
+
+    // The scripted fault fired once; the clean re-run matches serial
+    // serving bit for bit, in every result and in the aggregate.
+    core::FusedBatchResult batch = session.runFusedBatch(queries);
+    ASSERT_EQ(batch.results.size(), expected.size());
+    for (std::size_t q = 0; q < expected.size(); ++q) {
+        ASSERT_EQ(batch.results[q].outputs.size(),
+                  expected[q].outputs.size());
+        for (std::size_t i = 0; i < expected[q].outputs.size(); ++i)
+            EXPECT_EQ(batch.results[q].outputs[i].asBuffer()->toVector(),
+                      expected[q].outputs[i].asBuffer()->toVector());
+        EXPECT_EQ(batch.results[q].perf.toJson().dump(2),
+                  expected[q].perf.toJson().dump(2));
+    }
+    EXPECT_EQ(session.queriesServed(), serial.queriesServed());
+    EXPECT_EQ(session.aggregateReport().toJson().dump(2),
+              serial.aggregateReport().toJson().dump(2));
+}
+
 TEST(FusedBatch, HostOnlySessionSynthesizesFusedAccounting)
 {
     auto stored = randomRows(6, 96, 59);

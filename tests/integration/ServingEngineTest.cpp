@@ -12,14 +12,21 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
 #include "core/ServingEngine.h"
+#include "core/ShardedEngine.h"
+#include "sim/FaultInjector.h"
 #include "support/Error.h"
 #include "support/Rng.h"
+#include "support/Trace.h"
 
 using namespace c4cam;
 using c4cam::arch::ArchSpec;
@@ -269,4 +276,162 @@ TEST(ServingEngine, EuclideanKernelServesInParallel)
             expectBuffersEqual(served[q].outputs[i], serial[q].outputs[i]);
         expectReportsIdentical(served[q].perf, serial[q].perf);
     }
+}
+
+TEST(ServingEngine, FusedChunkRejectsBadRangesWithoutServing)
+{
+    auto stored = randomRows(8, 64, 71);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    auto queries = makeBatches(stored, stored_buf, 3);
+    core::CompilerOptions options;
+    options.spec = ArchSpec::dseSetup(32, OptTarget::Base);
+    const std::string source = apps::dotSimilaritySource(1, 8, 64, 1);
+
+    core::CompilerOptions host_options = options;
+    host_options.hostOnly = true;
+    core::CompiledKernel kernel =
+        core::Compiler(options).compileTorchScript(source);
+    core::CompiledKernel host_kernel =
+        core::Compiler(host_options).compileTorchScript(source);
+    std::map<std::string, std::unique_ptr<core::QueryBackend>> backends;
+    backends["device"] = kernel.createServingEngine(queries[0], 2);
+    backends["host-only"] = host_kernel.createServingEngine(queries[0], 2);
+    backends["sharded"] = std::make_unique<core::ShardedEngine>(
+        options, source, queries[0], core::ShardedEngineOptions{});
+
+    for (const auto &[name, backend] : backends) {
+        SCOPED_TRACE(name);
+        const std::string before = backend->stats().aggregate.toJson().dump();
+        // Past the end, reversed (begin > end) and empty ranges.
+        EXPECT_THROW(backend->serveFusedChunk(queries, 1, 4),
+                     CompilerError);
+        EXPECT_THROW(backend->serveFusedChunk(queries, 2, 1),
+                     CompilerError);
+        EXPECT_THROW(backend->serveFusedChunk(queries, 2, 2),
+                     CompilerError);
+        EXPECT_EQ(backend->queriesServed(), 0);
+        EXPECT_EQ(backend->stats().aggregate.toJson().dump(), before);
+
+        core::FusedBatchResult ok = backend->serveFusedChunk(queries, 1, 3);
+        ASSERT_EQ(ok.results.size(), 2u);
+        EXPECT_EQ(ok.results[0].outputs[1].asBuffer()->atInt({0, 0}), 1);
+        EXPECT_EQ(ok.results[1].outputs[1].asBuffer()->atInt({0, 0}), 2);
+        EXPECT_EQ(backend->queriesServed(), 2);
+    }
+}
+
+TEST(ServingEngine, ServeValidatesArguments)
+{
+    auto stored = randomRows(8, 64, 73);
+    core::CompiledKernel kernel =
+        compileDotKernel(ArchSpec::dseSetup(32, OptTarget::Base), 1, 8, 64);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    auto query = rt::Buffer::fromMatrix({stored[3]});
+    auto engine = kernel.createServingEngine({query, stored_buf}, 2);
+
+    EXPECT_THROW(engine->serve({query}), CompilerError);
+    EXPECT_THROW(engine->serve({stored_buf, stored_buf}), CompilerError);
+    EXPECT_EQ(engine->queriesServed(), 0);
+    EXPECT_EQ(engine->stats().retries, 0);
+
+    core::ExecutionResult r = engine->serve({query, stored_buf});
+    EXPECT_EQ(r.outputs[1].asBuffer()->atInt({0, 0}), 3);
+    EXPECT_EQ(engine->queriesServed(), 1);
+}
+
+namespace {
+
+/**
+ * Per-query trace shape: for each query (in query-id order) the span
+ * names with their parent's name ("" for a root), e.g.
+ * "plan-replay<execute". Span ids differ run to run; the shape must
+ * not.
+ */
+std::vector<std::multiset<std::string>>
+traceShape(const support::TraceCollector &collector)
+{
+    std::vector<support::TraceEvent> events = collector.snapshot();
+    std::map<std::uint64_t, std::string> names;
+    for (const support::TraceEvent &ev : events)
+        names[ev.spanId] = ev.name;
+    std::map<std::uint64_t, std::multiset<std::string>> queries;
+    for (const support::TraceEvent &ev : events) {
+        if (ev.queryId == 0)
+            continue; // plan-compile and other engine-level spans
+        std::string parent;
+        if (ev.parentSpanId != 0) {
+            auto it = names.find(ev.parentSpanId);
+            parent = it == names.end() ? "?" : it->second;
+        }
+        queries[ev.queryId].insert(std::string(ev.name) + "<" + parent);
+    }
+    std::vector<std::multiset<std::string>> shape;
+    for (auto &[id, spans] : queries)
+        shape.push_back(std::move(spans));
+    return shape;
+}
+
+/** Trace shapes of a traced engine with @p replicas: three serve()
+ *  calls, one fused chunk of three, then a failing serve() and a
+ *  fused chunk whose second query fails. */
+std::vector<std::multiset<std::string>>
+servingTraceShape(core::CompiledKernel &kernel,
+                  const std::vector<std::vector<rt::BufferPtr>> &queries,
+                  std::int64_t searches_per_query, int replicas)
+{
+    support::TraceCollector collector;
+    auto engine = kernel.createServingEngine(queries[0], replicas);
+    engine->enableTracing(&collector);
+    for (std::size_t i = 0; i < 3; ++i)
+        engine->serve(queries[i]);
+    engine->runFusedBatch(queries, 3);
+
+    // Failure paths on fresh engines: every device fails its first
+    // search (serve) or the first search of the chunk's second query.
+    for (std::int64_t at_search : {std::int64_t{1}, searches_per_query + 1}) {
+        auto failing = kernel.createServingEngine(queries[0], replicas);
+        failing->enableTracing(&collector);
+        sim::FaultSpec spec;
+        sim::FaultRule rule;
+        rule.kind = sim::FaultRule::Kind::Transient;
+        rule.atSearch = at_search;
+        spec.rules.push_back(rule);
+        failing->attachFaultInjector(
+            std::make_shared<sim::FaultInjector>(spec));
+        if (at_search == 1)
+            EXPECT_THROW(failing->serve(queries[0]), sim::TransientFault);
+        else
+            EXPECT_THROW(failing->runFusedBatch(queries, 3),
+                         sim::TransientFault);
+        EXPECT_EQ(failing->queriesServed(), 0);
+    }
+    return traceShape(collector);
+}
+
+} // namespace
+
+TEST(ServingEngine, TraceShapeIsTheSameForOneAndThreeReplicas)
+{
+    auto stored = randomRows(8, 64, 79);
+    core::CompiledKernel kernel =
+        compileDotKernel(ArchSpec::dseSetup(32, OptTarget::Base), 1, 8, 64);
+    auto stored_buf = rt::Buffer::fromMatrix(stored);
+    auto queries = makeBatches(stored, stored_buf, 3);
+    const std::int64_t searches =
+        kernel.createSession(queries[0]).runQuery(queries[0]).perf.searches;
+    ASSERT_GT(searches, 0);
+
+    const std::multiset<std::string> served{
+        "query<", "execute<query", "plan-replay<execute", "merge<query"};
+    const std::multiset<std::string> failed{"query<", "execute<query",
+                                            "plan-replay<execute"};
+    // 3 serves + 3 fused queries, the failed serve, then the failed
+    // chunk: its first query served, its second failed, its third
+    // never started.
+    const std::vector<std::multiset<std::string>> expected{
+        served, served, served, served, served, served,
+        failed, served, failed};
+
+    EXPECT_EQ(servingTraceShape(kernel, queries, searches, 1), expected);
+    EXPECT_EQ(servingTraceShape(kernel, queries, searches, 3), expected);
 }
