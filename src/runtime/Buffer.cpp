@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <sstream>
+#include <utility>
 
 namespace c4cam::rt {
 
@@ -23,6 +24,20 @@ Buffer::alloc(DType dtype, std::vector<std::int64_t> shape)
     buf->storage_ = std::make_shared<std::vector<double>>(
         static_cast<std::size_t>(buf->numElements()), 0.0);
     return buf;
+}
+
+std::shared_ptr<Buffer>
+Buffer::reuseOrAlloc(const std::shared_ptr<Buffer> &buf, DType dtype,
+                     const std::vector<std::int64_t> &shape)
+{
+    if (buf && buf.use_count() == 1 && buf->storage_.use_count() == 1 &&
+        buf->dtype_ == dtype && buf->shape_ == shape &&
+        buf->offset_ == 0 &&
+        buf->storage_->size() ==
+            static_cast<std::size_t>(buf->numElements()) &&
+        buf->isContiguous())
+        return buf;
+    return alloc(dtype, shape);
 }
 
 std::shared_ptr<Buffer>
@@ -83,27 +98,35 @@ Buffer::setInt(const std::vector<std::int64_t> &index, std::int64_t value)
     set(index, static_cast<double>(value));
 }
 
-std::shared_ptr<Buffer>
-Buffer::subview(const std::vector<std::int64_t> &offsets,
-                const std::vector<std::int64_t> &sizes) const
+std::int64_t
+Buffer::windowOffset(const std::vector<std::int64_t> &offsets,
+                     const std::vector<std::int64_t> &sizes) const
 {
     C4CAM_ASSERT(offsets.size() == shape_.size() &&
                      sizes.size() == shape_.size(),
                  "subview rank mismatch");
-    auto view = create();
-    view->dtype_ = dtype_;
-    view->shape_ = sizes;
-    view->strides_ = strides_;
-    view->offset_ = offset_;
-    view->storage_ = storage_;
+    std::int64_t linear = offset_;
     for (std::size_t i = 0; i < offsets.size(); ++i) {
         C4CAM_ASSERT(offsets[i] >= 0 && sizes[i] >= 0 &&
                          offsets[i] + sizes[i] <= shape_[i],
                      "subview window [" << offsets[i] << ", "
                      << offsets[i] + sizes[i] << ") outside dim " << i
                      << " extent " << shape_[i]);
-        view->offset_ += offsets[i] * strides_[i];
+        linear += offsets[i] * strides_[i];
     }
+    return linear;
+}
+
+std::shared_ptr<Buffer>
+Buffer::subview(const std::vector<std::int64_t> &offsets,
+                const std::vector<std::int64_t> &sizes) const
+{
+    auto view = create();
+    view->dtype_ = dtype_;
+    view->shape_ = sizes;
+    view->strides_ = strides_;
+    view->offset_ = windowOffset(offsets, sizes);
+    view->storage_ = storage_;
     return view;
 }
 
@@ -135,50 +158,75 @@ forEachIndex(const std::vector<std::int64_t> &shape, Fn &&fn)
     }
 }
 
+/**
+ * True when a view with @p shape and @p strides is dense in row-major
+ * order, modulo extent-1 dims (their stride is never stepped, so it
+ * cannot break contiguity).
+ */
+bool
+denseRowMajor(const std::vector<std::int64_t> &shape,
+              const std::vector<std::int64_t> &strides)
+{
+    std::int64_t expected = 1;
+    for (int i = static_cast<int>(shape.size()) - 1; i >= 0; --i) {
+        if (shape[static_cast<std::size_t>(i)] == 1)
+            continue;
+        if (strides[static_cast<std::size_t>(i)] != expected)
+            return false;
+        expected *= shape[static_cast<std::size_t>(i)];
+    }
+    return true;
+}
+
+/**
+ * Row-major visit of the storage slot of every element of the view
+ * (@p shape, @p strides, first element at @p offset).
+ */
+template <typename Fn>
+void
+walkLinear(const std::vector<std::int64_t> &shape,
+           const std::vector<std::int64_t> &strides, std::int64_t offset,
+           Fn &&fn)
+{
+    std::size_t n = 1;
+    for (auto d : shape)
+        n *= static_cast<std::size_t>(d);
+    if (n == 0)
+        return;
+    if (denseRowMajor(shape, strides)) {
+        for (std::size_t e = 0; e < n; ++e)
+            fn(static_cast<std::size_t>(offset) + e);
+        return;
+    }
+    std::vector<std::int64_t> index(shape.size(), 0);
+    std::int64_t linear = offset;
+    for (std::size_t e = 0; e < n; ++e) {
+        fn(static_cast<std::size_t>(linear));
+        for (int dim = static_cast<int>(shape.size()) - 1; dim >= 0;
+             --dim) {
+            auto d = static_cast<std::size_t>(dim);
+            linear += strides[d];
+            if (++index[d] < shape[d])
+                break;
+            linear -= shape[d] * strides[d];
+            index[d] = 0;
+        }
+    }
+}
+
 } // namespace
 
 bool
 Buffer::isContiguous() const
 {
-    // Dense row-major modulo extent-1 dims (their stride is never
-    // stepped, so it cannot break contiguity).
-    std::int64_t expected = 1;
-    for (int i = static_cast<int>(shape_.size()) - 1; i >= 0; --i) {
-        if (shape_[static_cast<std::size_t>(i)] == 1)
-            continue;
-        if (strides_[static_cast<std::size_t>(i)] != expected)
-            return false;
-        expected *= shape_[static_cast<std::size_t>(i)];
-    }
-    return true;
+    return denseRowMajor(shape_, strides_);
 }
 
 template <typename Fn>
 void
 Buffer::forEachLinear(Fn &&fn) const
 {
-    std::size_t n = static_cast<std::size_t>(numElements());
-    if (n == 0)
-        return;
-    if (isContiguous()) {
-        for (std::size_t e = 0; e < n; ++e)
-            fn(static_cast<std::size_t>(offset_) + e);
-        return;
-    }
-    std::vector<std::int64_t> index(shape_.size(), 0);
-    std::int64_t linear = offset_;
-    for (std::size_t e = 0; e < n; ++e) {
-        fn(static_cast<std::size_t>(linear));
-        for (int dim = static_cast<int>(shape_.size()) - 1; dim >= 0;
-             --dim) {
-            auto d = static_cast<std::size_t>(dim);
-            linear += strides_[d];
-            if (++index[d] < shape_[d])
-                break;
-            linear -= shape_[d] * strides_[d];
-            index[d] = 0;
-        }
-    }
+    walkLinear(shape_, strides_, offset_, std::forward<Fn>(fn));
 }
 
 void
@@ -245,6 +293,18 @@ Buffer::readInto(std::vector<double> &out) const
     // linear index (no per-element stride recomputation).
     forEachLinear([&](std::size_t linear) {
         out.push_back((*storage_)[linear]);
+    });
+}
+
+void
+Buffer::readWindowInto(const std::vector<std::int64_t> &offsets,
+                       const std::vector<std::int64_t> &sizes,
+                       std::vector<float> &out) const
+{
+    const std::int64_t first = windowOffset(offsets, sizes);
+    out.clear();
+    walkLinear(sizes, strides_, first, [&](std::size_t linear) {
+        out.push_back(static_cast<float>((*storage_)[linear]));
     });
 }
 

@@ -33,6 +33,16 @@ class Buffer
     static std::shared_ptr<Buffer> alloc(DType dtype,
                                          std::vector<std::int64_t> shape);
 
+    /**
+     * @p buf itself when it is a whole dense @p dtype buffer of
+     * @p shape that nothing else references -- no other handle and no
+     * view sharing its storage -- so the caller may overwrite it in
+     * place; otherwise alloc(dtype, shape).
+     */
+    static std::shared_ptr<Buffer>
+    reuseOrAlloc(const std::shared_ptr<Buffer> &buf, DType dtype,
+                 const std::vector<std::int64_t> &shape);
+
     /** Allocate a rank-2 f32 buffer from nested init data. */
     static std::shared_ptr<Buffer>
     fromMatrix(const std::vector<std::vector<float>> &rows);
@@ -90,6 +100,15 @@ class Buffer
     /** toVector into a caller-owned vector (capacity is reused). */
     void readInto(std::vector<double> &out) const;
 
+    /**
+     * Read the elements subview(@p offsets, @p sizes) would show, in
+     * row-major order and converted to float, into @p out (capacity is
+     * reused) without creating the view.
+     */
+    void readWindowInto(const std::vector<std::int64_t> &offsets,
+                        const std::vector<std::int64_t> &sizes,
+                        std::vector<float> &out) const;
+
     /** True when the view's elements are dense in row-major order. */
     bool isContiguous() const;
 
@@ -110,6 +129,10 @@ class Buffer
     static std::shared_ptr<Buffer> create();
 
     std::int64_t linearIndex(const std::vector<std::int64_t> &index) const;
+
+    /** Storage offset of the window's first element (bounds-checked). */
+    std::int64_t windowOffset(const std::vector<std::int64_t> &offsets,
+                              const std::vector<std::int64_t> &sizes) const;
 
     /** Row-major visit of every element's storage slot. */
     template <typename Fn> void forEachLinear(Fn &&fn) const;

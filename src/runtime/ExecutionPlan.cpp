@@ -901,8 +901,8 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
     std::vector<std::int64_t> index;
     std::vector<std::int64_t> offsets;
     std::vector<std::int64_t> sizes;
-    std::vector<double> query_stage;
     std::vector<float> query_floats;
+    std::vector<double> read_stage;
 
     auto slotInt = [&s](std::int32_t slot) {
         return s[static_cast<std::size_t>(slot)].asInt();
@@ -912,6 +912,12 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
     };
     auto slotBuf = [&s](std::int32_t slot) -> const BufferPtr & {
         return s[static_cast<std::size_t>(slot)].asBuffer();
+    };
+    // The buffer a slot holds, or null when it holds a scalar.
+    const BufferPtr no_buffer;
+    auto heldBuf = [&s, &no_buffer](std::int32_t slot) -> const BufferPtr & {
+        const RtValue &v = s[static_cast<std::size_t>(slot)];
+        return v.isBuffer() ? v.asBuffer() : no_buffer;
     };
     auto put = [&s](std::int32_t slot, RtValue v) {
         s[static_cast<std::size_t>(slot)] = std::move(v);
@@ -1275,8 +1281,8 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             int row_end = spec.rowEndSlot >= 0
                               ? static_cast<int>(slotInt(spec.rowEndSlot))
                               : spec.rowEnd;
-            query->readInto(query_stage);
-            query_floats.assign(query_stage.begin(), query_stage.end());
+            offsets.assign(query->rank(), 0);
+            query->readWindowInto(offsets, query->shape(), query_floats);
             requireDevice()->search(
                 sub, query_floats,
                 static_cast<arch::SearchKind>(spec.kind), spec.euclidean,
@@ -1286,20 +1292,20 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
           case Opcode::CamRead: {
             const sim::SearchResult &result =
                 requireDevice()->read(slotInt(inst.a));
-            std::int64_t n =
-                static_cast<std::int64_t>(result.values.size());
-            auto values = Buffer::alloc(DType::F32, {n});
-            auto indices = Buffer::alloc(DType::I64, {n});
-            index.assign(1, 0);
-            for (std::int64_t i = 0; i < n; ++i) {
-                index[0] = i;
-                values->set(index,
-                            result.values[static_cast<std::size_t>(i)]);
-                indices->setInt(
-                    index, result.indices[static_cast<std::size_t>(i)]);
-            }
-            put(inst.r, RtValue(values));
-            put(inst.r2, RtValue(indices));
+            // A loop re-reads into the buffers its last iteration
+            // left in r/r2; they are overwritten in place when this
+            // frame holds the only reference to them.
+            index.assign(1, static_cast<std::int64_t>(result.values.size()));
+            BufferPtr values =
+                Buffer::reuseOrAlloc(heldBuf(inst.r), DType::F32, index);
+            BufferPtr indices =
+                Buffer::reuseOrAlloc(heldBuf(inst.r2), DType::I64, index);
+            read_stage.assign(result.values.begin(), result.values.end());
+            values->copyFromFlat(read_stage);
+            read_stage.assign(result.indices.begin(), result.indices.end());
+            indices->copyFromFlat(read_stage);
+            put(inst.r, RtValue(std::move(values)));
+            put(inst.r2, RtValue(std::move(indices)));
             break;
           }
           case Opcode::CamMergePartialSub: {
@@ -1375,10 +1381,12 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
                 slices_[static_cast<std::size_t>(inst.aux)];
             resolveSlice(spec.offsets, offsets);
             resolveSlice(spec.sizes, sizes);
-            const BufferPtr query =
-                slotBuf(inst.b)->subview(offsets, sizes);
+            // The query window is read in place; the view object is
+            // built only for a later reader.
+            const BufferPtr &source = slotBuf(inst.b);
+            source->readWindowInto(offsets, sizes, query_floats);
             if (inst.r >= 0)
-                put(inst.r, RtValue(query));
+                put(inst.r, RtValue(source->subview(offsets, sizes)));
             const SearchSpec &srch =
                 searches_[static_cast<std::size_t>(inst.imm)];
             sim::Handle sub = slotInt(inst.a);
@@ -1389,8 +1397,6 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             int row_end = srch.rowEndSlot >= 0
                               ? static_cast<int>(slotInt(srch.rowEndSlot))
                               : srch.rowEnd;
-            query->readInto(query_stage);
-            query_floats.assign(query_stage.begin(), query_stage.end());
             requireDevice()->search(
                 sub, query_floats,
                 static_cast<arch::SearchKind>(srch.kind), srch.euclidean,

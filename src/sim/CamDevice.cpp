@@ -19,9 +19,12 @@ CamDevice::CamDevice(const CamDevice &other)
       fusionModel_(other.fusionModel_)
 {
     // Deep-copy the programmed cell contents; the clone must never
-    // alias the original's subarrays.
-    for (const auto &[handle, sub] : other.storage_)
-        storage_.emplace(handle, std::make_unique<CamSubarray>(*sub));
+    // alias the original's subarrays. Search results are per window
+    // and stay behind.
+    slots_.reserve(other.slots_.size());
+    for (const std::unique_ptr<SubarraySlot> &s : other.slots_)
+        slots_.push_back(s ? std::make_unique<SubarraySlot>(s->sub)
+                           : nullptr);
     // window_ stays default-constructed: the replica starts with a
     // fresh query window on top of the copied setup accounting.
     timing_.beginQueryWindow();
@@ -67,6 +70,7 @@ Handle
 CamDevice::newHandle(HandleInfo info)
 {
     handles_.push_back(info);
+    slots_.emplace_back();
     return static_cast<Handle>(handles_.size() - 1);
 }
 
@@ -160,9 +164,10 @@ CamDevice::allocSubarray(Handle array_handle)
     hi.sub = array.subarrays.size();
     Handle handle = newHandle(hi);
     array.subarrays.push_back(handle);
-    storage_.emplace(handle, std::make_unique<CamSubarray>(
-                                 banks_[ah.bank].rows, banks_[ah.bank].cols,
-                                 spec_.camType, spec_.bitsPerCell));
+    slots_[static_cast<std::size_t>(handle)] =
+        std::make_unique<SubarraySlot>(
+            CamSubarray(banks_[ah.bank].rows, banks_[ah.bank].cols,
+                        spec_.camType, spec_.bitsPerCell));
     ++subarrayCount_;
     return handle;
 }
@@ -188,14 +193,24 @@ CamDevice::subarrayAt(std::int64_t bank, std::int64_t mat,
     return a.subarrays[static_cast<std::size_t>(sub)];
 }
 
+CamDevice::SubarraySlot &
+CamDevice::slot(Handle handle)
+{
+    info(handle, HandleKind::Subarray);
+    return *slots_[static_cast<std::size_t>(handle)];
+}
+
+const CamDevice::SubarraySlot &
+CamDevice::slot(Handle handle) const
+{
+    info(handle, HandleKind::Subarray);
+    return *slots_[static_cast<std::size_t>(handle)];
+}
+
 CamSubarray &
 CamDevice::subarray(Handle handle)
 {
-    info(handle, HandleKind::Subarray);
-    auto it = storage_.find(handle);
-    C4CAM_ASSERT(it != storage_.end(),
-                 "subarray handle " << handle << " has no storage");
-    return *it->second;
+    return slot(handle).sub;
 }
 
 void
@@ -263,14 +278,16 @@ CamDevice::search(Handle subarray_handle, const std::vector<float> &query,
     double fault_latency_factor = 1.0;
     if (faults_)
         fault_latency_factor = faults_->onSearch(faultDevice_);
-    CamSubarray &sub = subarray(subarray_handle);
+    SubarraySlot &target = slot(subarray_handle);
+    const CamSubarray &sub = target.sub;
     if (row_begin < 0)
         row_begin = 0;
     if (row_end < 0)
         row_end = sub.rows();
 
-    window_.lastResult[subarray_handle] =
-        sub.search(query, kind, euclidean, row_begin, row_end, threshold);
+    sub.searchInto(query, kind, euclidean, row_begin, row_end, threshold,
+                   target.last);
+    target.lastWindow = windowGeneration_;
     ++window_.searches;
 
     // Every ML precharges each cycle; selective search confines the
@@ -283,8 +300,10 @@ CamDevice::search(Handle subarray_handle, const std::vector<float> &query,
     // so the window totals always equal their sum.
     int sensed_rows = selective ? row_end - row_begin : sub.rows();
     bool pay_drive = true;
-    if (fusedActive_ && fusionModel_ == FusionModel::TrueFused)
-        pay_drive = fusedDriven_.insert(subarray_handle).second;
+    if (fusedActive_ && fusionModel_ == FusionModel::TrueFused) {
+        pay_drive = target.drivenPass != fusedPass_;
+        target.drivenPass = fusedPass_;
+    }
     arch::SearchEnergyBreakdown split = tech_.searchEnergyBreakdown(
         sub.rows(), sensed_rows, sub.cols(), kind);
     double latency = (tech_.searchLatencyNs(sub.cols()) +
@@ -308,12 +327,11 @@ CamDevice::read(Handle subarray_handle) const
     // Validate handle range/kind first so a bank/mat handle (or a
     // bogus value) gets a handle diagnostic, not a misleading
     // "no search yet" message or a raw std::out_of_range.
-    info(subarray_handle, HandleKind::Subarray);
-    auto it = window_.lastResult.find(subarray_handle);
-    C4CAM_CHECK(it != window_.lastResult.end(),
+    const SubarraySlot &target = slot(subarray_handle);
+    C4CAM_CHECK(target.lastWindow == windowGeneration_,
                 "cam.read on subarray " << subarray_handle
                 << " before any cam.search was issued on it");
-    return it->second;
+    return target.last;
 }
 
 void
@@ -341,13 +359,20 @@ CamDevice::beginQueryWindow()
     if (fusedActive_ && windowsSinceFused_ > 0)
         foldWindowIntoFused();
     timing_.beginQueryWindow();
-    // Replace the whole per-window object. This also drops last-search
+    resetWindow();
+    if (fusedActive_)
+        ++windowsSinceFused_;
+}
+
+void
+CamDevice::resetWindow()
+{
+    // Replace the whole per-window object and retire last-search
     // results: a read-before-search in the new window must be
     // diagnosed exactly like on a fresh device, not silently served
     // stale data from the previous query.
     window_ = WindowState{};
-    if (fusedActive_)
-        ++windowsSinceFused_;
+    ++windowGeneration_;
 }
 
 void
@@ -378,7 +403,7 @@ CamDevice::beginFusedWindow(int k)
     fused_.k = k;
     fusedActive_ = true;
     windowsSinceFused_ = 0;
-    fusedDriven_.clear();
+    ++fusedPass_; // no subarray is driven in the new pass yet
 }
 
 void
@@ -405,7 +430,7 @@ CamDevice::abortQueryWindow()
         abortFusedWindow();
     // Fresh window on top of the preserved setup accounting; the
     // timing engine's window was already reset by abortOpenScopes().
-    window_ = WindowState{};
+    resetWindow();
 }
 
 void
@@ -414,7 +439,6 @@ CamDevice::abortFusedWindow()
     fusedActive_ = false;
     windowsSinceFused_ = 0;
     fused_ = FusedWindow{};
-    fusedDriven_.clear();
 }
 
 FusedWindow
@@ -432,7 +456,6 @@ CamDevice::endFusedWindow()
                 << " queries but served " << fused_.queriesFolded);
     fusedActive_ = false;
     windowsSinceFused_ = 0;
-    fusedDriven_.clear();
     return fused_;
 }
 

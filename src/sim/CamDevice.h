@@ -9,13 +9,21 @@
  * (paper §III-D2 "the cam operations are mapped to function calls of a
  * CAM simulator"). It combines the functional CamSubarray model with the
  * TechModel cost model and the scope-based TimingEngine.
+ *
+ * Layout. Handles index one slot vector: a subarray handle's slot owns
+ * its CamSubarray and the SearchResult of its last search, so the
+ * search/read hot path is two array lookups and no map. A slot's
+ * result vectors keep their capacity across searches and query
+ * windows (a steady-state search allocates nothing); a result is
+ * readable only in the query window that produced it, tracked by a
+ * window generation instead of clearing the results. Subarray storage
+ * is bit-packed and sized by the rows actually written (see
+ * CamSubarray.h), so allocating a large subarray costs no memory until
+ * it is programmed.
  */
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "arch/ArchSpec.h"
@@ -101,7 +109,12 @@ class CamDevice
                 int row_end = -1, double threshold = 0.0,
                 bool selective = false);
 
-    /** Read back the results of the last search on @p subarray. */
+    /**
+     * Read back the results of the last search on @p subarray in the
+     * current query window. The reference stays valid until the next
+     * search on the same subarray; searches on other subarrays and new
+     * allocations do not move it.
+     */
     const SearchResult &read(Handle subarray) const;
     /// @}
 
@@ -259,11 +272,11 @@ class CamDevice
     };
 
     /**
-     * Per-query-window device accounting: the query-energy breakdown,
-     * the search counter and the last-search results. Replaced as one
-     * object by beginQueryWindow() (the timing engine swaps its own
-     * QueryWindow in lockstep), so "reset" bugs where one counter is
-     * forgotten cannot happen.
+     * Per-query-window device accounting: the query-energy breakdown
+     * and the search counter. Replaced as one object by
+     * beginQueryWindow() (the timing engine swaps its own QueryWindow
+     * in lockstep, and the window generation advances), so "reset"
+     * bugs where one counter is forgotten cannot happen.
      */
     struct WindowState
     {
@@ -272,9 +285,21 @@ class CamDevice
         double senseEnergy = 0.0;
         double driveEnergy = 0.0;
         double mergeEnergy = 0.0;
-        /** Hash map: one insert per search is on the serving hot
-         *  path, and nothing iterates this container in key order. */
-        std::unordered_map<Handle, SearchResult> lastResult;
+    };
+
+    /** Everything the device keeps per allocated subarray. Heap-held
+     *  so read() references survive later allocations. */
+    struct SubarraySlot
+    {
+        explicit SubarraySlot(CamSubarray cells) : sub(std::move(cells)) {}
+
+        CamSubarray sub;
+        /** Last search result; valid while lastWindow is current. */
+        SearchResult last;
+        /** Window generation of @c last; 0 = never searched. */
+        std::uint64_t lastWindow = 0;
+        /** Fused pass that paid this subarray's drive (TrueFused). */
+        std::uint64_t drivenPass = 0;
     };
 
     /** Deep copy for cloneProgrammed(). */
@@ -286,6 +311,10 @@ class CamDevice
     static const char *kindName(HandleKind kind);
     Handle newHandle(HandleInfo info);
     const HandleInfo &info(Handle handle, HandleKind expected) const;
+    SubarraySlot &slot(Handle handle);
+    const SubarraySlot &slot(Handle handle) const;
+    /** Start a new query window's accounting and result generation. */
+    void resetWindow();
 
     arch::ArchSpec spec_;
     arch::TechModel tech_;
@@ -293,13 +322,16 @@ class CamDevice
 
     std::vector<Bank> banks_;
     std::vector<HandleInfo> handles_;
-    std::map<Handle, std::unique_ptr<CamSubarray>> storage_;
+    /** Indexed by handle; null for bank/mat/array handles. */
+    std::vector<std::unique_ptr<SubarraySlot>> slots_;
 
     std::int64_t subarrayCount_ = 0;
     std::int64_t writtenSubarrays_ = 0;
     std::int64_t writes_ = 0;
 
     WindowState window_;
+    /** Current query window; SubarraySlot::lastWindow compares to it. */
+    std::uint64_t windowGeneration_ = 1;
 
     /// @name Fault injection state
     /// @{
@@ -314,9 +346,10 @@ class CamDevice
     std::int64_t windowsSinceFused_ = 0;
     FusedWindow fused_;
     FusionModel fusionModel_ = FusionModel::ExactSerial;
-    /** Subarrays already driven in the open fused pass (TrueFused:
-     *  their precharge/drive is paid; later searches sense only). */
-    std::unordered_set<Handle> fusedDriven_;
+    /** Id of the open fused pass: a subarray whose drivenPass equals
+     *  it was already driven (TrueFused: its precharge/drive is paid;
+     *  later searches sense only). */
+    std::uint64_t fusedPass_ = 0;
     /// @}
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "runtime/Buffer.h"
 #include "support/Error.h"
 
@@ -93,6 +96,52 @@ TEST(Buffer, ToVectorFollowsViewLayout)
     ASSERT_EQ(flat.size(), 2u);
     EXPECT_DOUBLE_EQ(flat[0], 2.0);
     EXPECT_DOUBLE_EQ(flat[1], 5.0);
+}
+
+TEST(Buffer, ReadWindowMatchesSubview)
+{
+    auto buf =
+        Buffer::fromMatrix({{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}});
+    std::vector<float> out{99.0f};
+    // Dense row window, strided column window, nested view, empty.
+    for (auto [offsets, sizes] :
+         std::vector<std::pair<std::vector<std::int64_t>,
+                               std::vector<std::int64_t>>>{
+             {{1, 0}, {1, 4}},
+             {{0, 1}, {3, 2}},
+             {{1, 1}, {2, 3}},
+             {{2, 2}, {0, 2}}}) {
+        buf->readWindowInto(offsets, sizes, out);
+        std::vector<double> expected =
+            buf->subview(offsets, sizes)->toVector();
+        ASSERT_EQ(out.size(), expected.size());
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(out[i], static_cast<float>(expected[i]));
+    }
+    auto view = buf->subview({1, 1}, {2, 3});
+    view->readWindowInto({1, 0}, {1, 2}, out);
+    EXPECT_EQ(out, (std::vector<float>{10.0f, 11.0f}));
+    EXPECT_THROW(buf->readWindowInto({2, 2}, {2, 1}, out), InternalError);
+}
+
+TEST(Buffer, ReuseOrAllocOnlyReusesUnsharedBuffers)
+{
+    auto buf = Buffer::alloc(DType::F32, {4});
+    Buffer *raw = buf.get();
+    EXPECT_EQ(Buffer::reuseOrAlloc(buf, DType::F32, {4}).get(), raw);
+    // Another handle, a view on the storage, another dtype or shape,
+    // or a view itself: a fresh zero-filled buffer.
+    auto copy = buf;
+    EXPECT_NE(Buffer::reuseOrAlloc(buf, DType::F32, {4}).get(), raw);
+    copy.reset();
+    auto view = buf->subview({1}, {2});
+    EXPECT_NE(Buffer::reuseOrAlloc(buf, DType::F32, {4}).get(), raw);
+    EXPECT_NE(Buffer::reuseOrAlloc(view, DType::F32, {2}).get(), view.get());
+    view.reset();
+    EXPECT_NE(Buffer::reuseOrAlloc(buf, DType::I64, {4}).get(), raw);
+    EXPECT_NE(Buffer::reuseOrAlloc(buf, DType::F32, {2, 2}).get(), raw);
+    EXPECT_NE(Buffer::reuseOrAlloc(nullptr, DType::F32, {4}), nullptr);
+    EXPECT_EQ(Buffer::reuseOrAlloc(buf, DType::F32, {4}).get(), raw);
 }
 
 TEST(Buffer, ToMatrixRequiresRank2)

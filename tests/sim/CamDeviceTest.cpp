@@ -509,3 +509,106 @@ TEST(CamDevice, FusedWindowToReportSetsAttribution)
     EXPECT_DOUBLE_EQ(report.fusedDriveEnergyPerQueryPj(),
                      fused.driveEnergyPj / 2.0);
 }
+
+TEST(CamDevice, RejectedWriteChangesNoCellAndPostsNoCost)
+{
+    CamDevice device(smallSpec());
+    Handle bank = device.allocBank(4, 4);
+    Handle sub =
+        device.allocSubarray(device.allocArray(device.allocMat(bank)));
+    PerfReport before = device.report();
+    // Row 1 is too wide; row 0 must not be programmed either.
+    EXPECT_THROW(device.writeValue(sub, {{1, 1, 1, 1}, {1, 1, 1, 1, 1}}),
+                 CompilerError);
+    PerfReport after = device.report();
+    EXPECT_EQ(after.setupLatencyNs, before.setupLatencyNs);
+    EXPECT_EQ(after.setupEnergyPj, before.setupEnergyPj);
+    EXPECT_EQ(after.writes, before.writes);
+    EXPECT_EQ(after.subarraysUsed, before.subarraysUsed);
+    device.search(sub, {0, 0, 0, 0}, SearchKind::Best, false);
+    for (float v : device.read(sub).values)
+        EXPECT_EQ(v, 0.0f);
+}
+
+TEST(CamDevice, OverWideRangeWriteRejectedWithoutCost)
+{
+    ArchSpec spec = smallSpec();
+    spec.camType = arch::CamDeviceType::Acam;
+    spec.bitsPerCell = 2;
+    CamDevice device(spec);
+    Handle bank = device.allocBank(4, 4);
+    Handle sub =
+        device.allocSubarray(device.allocArray(device.allocMat(bank)));
+    PerfReport before = device.report();
+    CamCell cell{0.0f, 1.0f, false};
+    EXPECT_THROW(device.writeRanges(sub, {std::vector<CamCell>(5, cell)}),
+                 CompilerError);
+    PerfReport after = device.report();
+    EXPECT_EQ(after.setupLatencyNs, before.setupLatencyNs);
+    EXPECT_EQ(after.setupEnergyPj, before.setupEnergyPj);
+    EXPECT_EQ(after.writes, before.writes);
+}
+
+TEST(CamDevice, ReadReferenceSurvivesOtherSearchesAndAllocations)
+{
+    CamDevice device(smallSpec());
+    Handle bank = device.allocBank(4, 4);
+    Handle array = device.allocArray(device.allocMat(bank));
+    Handle a = device.allocSubarray(array);
+    Handle b = device.allocSubarray(array);
+    device.writeValue(a, {{1, 0, 1, 0}, {0, 1, 0, 1}});
+    device.writeValue(b, {{1, 1, 1, 1}});
+    device.search(a, {1, 0, 1, 0}, SearchKind::Best, false, 0, 2);
+    const SearchResult &ra = device.read(a);
+    // Another subarray's search and new allocations must not move or
+    // change the result the reference points at (ASan flags a stale
+    // reference here).
+    device.search(b, {0, 0, 0, 0}, SearchKind::Best, false);
+    device.allocSubarray(device.allocArray(device.allocMat(bank)));
+    ASSERT_EQ(ra.values.size(), 2u);
+    EXPECT_EQ(ra.values[0], 0.0f);
+    EXPECT_EQ(ra.values[1], 4.0f);
+    ASSERT_EQ(ra.matchedRows.size(), 1u);
+    EXPECT_EQ(ra.matchedRows[0], 0);
+    EXPECT_EQ(&device.read(a), &ra);
+}
+
+TEST(CamDevice, ReadInANewWindowIsDiagnosed)
+{
+    CamDevice device(smallSpec());
+    Handle bank = device.allocBank(4, 4);
+    Handle sub =
+        device.allocSubarray(device.allocArray(device.allocMat(bank)));
+    device.writeValue(sub, {{1, 0, 1, 0}});
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    const float *storage = device.read(sub).values.data();
+
+    device.beginQueryWindow();
+    EXPECT_THROW(device.read(sub), CompilerError);
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    // The slot's result capacity is reused across windows.
+    EXPECT_EQ(device.read(sub).values.data(), storage);
+
+    device.abortQueryWindow();
+    EXPECT_THROW(device.read(sub), CompilerError);
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false);
+    EXPECT_EQ(device.read(sub).values.size(), 4u);
+}
+
+TEST(CamDevice, CloneUnaffectedWhenOriginalIsRewritten)
+{
+    CamDevice device(smallSpec());
+    Handle bank = device.allocBank(4, 4);
+    Handle sub =
+        device.allocSubarray(device.allocArray(device.allocMat(bank)));
+    device.writeValue(sub, {{1, 0, 1, 0}, {0, 1, 0, 1}});
+    std::unique_ptr<CamDevice> clone = device.cloneProgrammed();
+
+    device.writeValue(sub, {{0, 0, 0, 0}, {1, 1, 1, 1}});
+    device.search(sub, {1, 0, 1, 0}, SearchKind::Best, false, 0, 2);
+    clone->search(sub, {1, 0, 1, 0}, SearchKind::Best, false, 0, 2);
+    EXPECT_EQ(device.read(sub).values, (std::vector<float>{2.0f, 2.0f}));
+    EXPECT_EQ(clone->read(sub).values, (std::vector<float>{0.0f, 4.0f}));
+    EXPECT_EQ(clone->report().writes, 1);
+    EXPECT_EQ(device.report().writes, 2);
+}

@@ -1,6 +1,7 @@
 /** @file Functional CAM subarray tests. */
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -199,4 +200,62 @@ TEST(CamSubarray, ShorterQueryUsesPrefixColumns)
     SearchResult r =
         sub.search({1, 0, 1, 0}, SearchKind::Best, false, 0, 4);
     EXPECT_FLOAT_EQ(r.values[2], 0.0f);
+}
+
+TEST(CamSubarray, RejectedWriteProgramsNoRow)
+{
+    // The over-wide second row must be caught before row 0 is
+    // programmed: afterwards every row is still all wildcards.
+    CamSubarray sub(2, 2, CamDeviceType::Tcam, 1);
+    EXPECT_THROW(sub.write({{1, 1}, {1, 1, 1}}, 0), CompilerError);
+    EXPECT_EQ(sub.writtenRows(), 0);
+    SearchResult r = sub.search({0, 0}, SearchKind::Best, false);
+    ASSERT_EQ(r.values.size(), 2u);
+    EXPECT_EQ(r.values[0], 0.0f);
+    EXPECT_EQ(r.values[1], 0.0f);
+}
+
+TEST(CamSubarray, OverWideRangeWriteIsRejected)
+{
+    CamSubarray sub(2, 2, CamDeviceType::Acam, 2);
+    CamCell cell{0.0f, 1.0f, false};
+    try {
+        sub.writeRanges({{cell, cell}, {cell, cell, cell}}, 0);
+        FAIL() << "expected CompilerError";
+    } catch (const CompilerError &err) {
+        EXPECT_NE(std::string(err.what()).find("exceeds subarray columns"),
+                  std::string::npos);
+    }
+    EXPECT_EQ(sub.writtenRows(), 0);
+    SearchResult r = sub.search({5.0f, 5.0f}, SearchKind::Exact, false);
+    EXPECT_EQ(r.matchedRows.size(), 2u);
+}
+
+TEST(CamSubarray, SearchIntoReusesResultCapacity)
+{
+    CamSubarray sub = makeTcam();
+    SearchResult out;
+    sub.searchInto({1, 0, 1, 0, 1, 0, 1, 0}, SearchKind::Best, false, 0, 8,
+                   0.0, out);
+    const float *values = out.values.data();
+    const std::int32_t *indices = out.indices.data();
+    sub.searchInto({0, 0, 0, 0, 0, 0, 0, 0}, SearchKind::Best, false, 0, 4,
+                   0.0, out);
+    EXPECT_EQ(out.values.data(), values);
+    EXPECT_EQ(out.indices.data(), indices);
+    SearchResult fresh = sub.search({0, 0, 0, 0, 0, 0, 0, 0},
+                                    SearchKind::Best, false, 0, 4);
+    EXPECT_EQ(out.values, fresh.values);
+    EXPECT_EQ(out.indices, fresh.indices);
+    EXPECT_EQ(out.matchedRows, fresh.matchedRows);
+    // Rejected arguments leave the previous result in place.
+    EXPECT_THROW(sub.searchInto({0}, SearchKind::Best, false, 0, 9, 0.0, out),
+                 CompilerError);
+    EXPECT_EQ(out.values.size(), 4u);
+}
+
+TEST(CamSubarray, DigitalCellsNeedOneOrTwoBits)
+{
+    EXPECT_THROW(CamSubarray(2, 2, CamDeviceType::Mcam, 3), CompilerError);
+    EXPECT_NO_THROW(CamSubarray(2, 2, CamDeviceType::Acam, 3));
 }
