@@ -18,9 +18,9 @@
  *     IR text and run through the same ExecutionPlan::compile +
  *     rt::PlanOptimizer pipeline, replayed host-only. No device, no
  *     buffers: pure interpreter overhead, which is exactly what the
- *     optimizer targets (superop fusion + chain collapse + constant
- *     folding). --opt-gate X applies to THIS leg's optimized-vs-raw
- *     replay speedup: exit 1 when it falls below X.
+ *     optimizer targets (superop fusion + chain collapse). --opt-gate X
+ *     applies to THIS leg's optimized-vs-raw replay speedup: exit 1
+ *     when it falls below X.
  *
  * Both legs measure interleaved (alternating back ends per repetition,
  * min across repetitions) so CPU warm-up and frequency drift cannot
@@ -276,7 +276,7 @@ main(int argc, char **argv)
         rt::ExecutionPlan::compile(loop_module, "f");
     rt::PlanOptReport loop_report;
     std::shared_ptr<const rt::ExecutionPlan> loop_opt =
-        rt::PlanOptimizer::optimize(*loop_raw, {}, &loop_report);
+        rt::PlanOptimizer::optimize(*loop_raw, &loop_report);
 
     std::vector<rt::RtValue> no_args;
     std::uint64_t loop_raw_ops = 0;
@@ -331,11 +331,10 @@ main(int argc, char **argv)
     double opt_speedup = loop_opt_s > 0.0 ? loop_raw_s / loop_opt_s : 0.0;
 
     std::printf("\nDispatch loop: %llu raw ops -> %llu optimized "
-                "(folded %d, fused %d, collapsed %d)\n",
+                "(fused %d, collapsed %d)\n",
                 static_cast<unsigned long long>(loop_raw_ops),
                 static_cast<unsigned long long>(loop_opt_ops),
-                loop_report.foldedInstructions, loop_report.fusedSuperops,
-                loop_report.collapsedWrites);
+                loop_report.fusedSuperops, loop_report.collapsedWrites);
     bench::rule();
     std::printf("%-18s %14s %14s\n", "", "raw plan", "optimized plan");
     std::printf("%-18s %14.2f %14.2f\n", "ms/replay", loop_raw_s * 1e3,

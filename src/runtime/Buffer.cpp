@@ -133,32 +133,6 @@ Buffer::subview(const std::vector<std::int64_t> &offsets,
 namespace {
 
 /**
- * Row-major walk over every index of @p shape. Templated on the
- * callback so the per-element call inlines (this sits under every
- * elementwise buffer op -- a std::function here costs an indirect
- * call plus possible allocation per element).
- */
-template <typename Fn>
-void
-forEachIndex(const std::vector<std::int64_t> &shape, Fn &&fn)
-{
-    std::vector<std::int64_t> index(shape.size(), 0);
-    while (true) {
-        fn(index);
-        int dim = static_cast<int>(shape.size()) - 1;
-        while (dim >= 0) {
-            if (++index[static_cast<std::size_t>(dim)] <
-                shape[static_cast<std::size_t>(dim)])
-                break;
-            index[static_cast<std::size_t>(dim)] = 0;
-            --dim;
-        }
-        if (dim < 0)
-            break;
-    }
-}
-
-/**
  * True when a view with @p shape and @p strides is dense in row-major
  * order, modulo extent-1 dims (their stride is never stepped, so it
  * cannot break contiguity).
@@ -250,27 +224,6 @@ Buffer::addFromFlat(const std::vector<double> &flat)
     std::size_t i = 0;
     forEachLinear([&](std::size_t linear) {
         (*storage_)[linear] += flat[i++];
-    });
-}
-
-void
-Buffer::copyFrom(const Buffer &src)
-{
-    C4CAM_ASSERT(shape_ == src.shape(), "copyFrom shape mismatch");
-    if (numElements() == 0)
-        return;
-    forEachIndex(shape_, [&](const std::vector<std::int64_t> &index) {
-        set(index, src.at(index));
-    });
-}
-
-void
-Buffer::fill(double value)
-{
-    if (numElements() == 0)
-        return;
-    forEachIndex(shape_, [&](const std::vector<std::int64_t> &index) {
-        set(index, value);
     });
 }
 

@@ -78,16 +78,9 @@ class Buffer
                                     const std::vector<std::int64_t> &sizes)
         const;
 
-    /** Deep-copy @p src into this view (shapes must match). */
-    void copyFrom(const Buffer &src);
-
-    /** Fill every element with @p value. */
-    void fill(double value);
-
     /**
      * Overwrite this view's elements (row-major order) from @p flat;
-     * sizes must match. The flat-vector counterpart of copyFrom for
-     * views whose shapes differ but element counts agree.
+     * sizes must match (the shapes may differ).
      */
     void copyFromFlat(const std::vector<double> &flat);
 

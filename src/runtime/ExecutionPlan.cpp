@@ -1318,8 +1318,6 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
             break;
           }
 
-          case Opcode::Nop:
-            break;
           // Fused pairs keep op1's result in a register: chained op2
           // operands (kFusedChainX/Y) take it directly, and when no
           // other instruction reads it (r = -1) the slot write is

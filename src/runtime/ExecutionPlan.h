@@ -121,10 +121,7 @@ enum class Opcode : std::uint8_t {
     CamRead,
     CamMergePartialSub, ///< in-place acc += partial, postMerge
 
-    // Optimizer-introduced ops (rt::PlanOptimizer). A raw compile()
-    // never emits these; replay still handles them so partially
-    // optimized plans stay executable.
-    Nop,          ///< placeholder left by a rewrite; compacted away
+    // Superops (rt::PlanOptimizer). A raw compile() never emits these.
     FusedIntPair, ///< imm = IntSub1 | IntSub2<<8 | chain bits: r = op1(a,b); r2 = op2(c,extra[0])
     FusedFloatPair, ///< float twin of FusedIntPair (FloatSub codes)
     FusedCopyPair,  ///< frame[r] = frame[a]; frame[r2] = frame[c]
@@ -256,7 +253,10 @@ class ExecutionPlan
     /**
      * Compile function @p entry of @p module into a plan. Throws
      * CompilerError (with the nearest-mnemonic diagnostic) when the
-     * function contains an op outside the executable vocabulary.
+     * function contains an op outside the executable vocabulary. The
+     * result is the raw 1:1 plan: production replays it only after
+     * rt::PlanOptimizer fuses superops (core::compilePlan); tests and
+     * benches keep the raw plan as the differential reference.
      */
     static std::shared_ptr<const ExecutionPlan>
     compile(const ir::Module &module, const std::string &entry);

@@ -1,230 +1,31 @@
 /**
  * @file
- * ExecutionPlan bytecode passes: constant folding, loop-invariant
- * subview hoisting, superop fusion, dead-slot elimination + frame
- * compaction, and the plan disassembler.
+ * ExecutionPlan superop fusion (with chain collapse) and the plan
+ * disassembler.
  *
- * Invariants every pass preserves (this is what keeps optimized plans
- * bit-identical to unoptimized plans and the tree walk, including the
- * simulated PerfReports):
- *
- *  - device ops (Cam*, CimAcquire), timing scopes (Begin*Scope /
- *    EndScope) and cost-posting ops (TopkOp, CamMergePartialSub) are
- *    never created, removed or reordered relative to each other;
- *  - only instructions that cannot throw are eliminated or folded
- *    (DivI/RemI keep their division-by-zero diagnostics, CheckPosStep
- *    only folds when the step is provably positive);
- *  - a hoisted Subview only moves within host-pure straight-line code
- *    of a loop that provably runs at least once.
+ * What keeps optimized plans bit-identical to unoptimized plans and
+ * the tree walk, including the simulated PerfReports: device ops
+ * (Cam*, CimAcquire), timing scopes (Begin*Scope / EndScope) and
+ * cost-posting ops (TopkOp, CamMergePartialSub) are never created,
+ * removed or reordered relative to each other; fusion only merges a
+ * Subview into the CamSearch that follows it, and never fuses across a
+ * branch target.
  */
 
 #include "runtime/PlanOptimizer.h"
 
-#include <algorithm>
 #include <array>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 #include <unordered_set>
 
 #include "runtime/ExecutionPlan.h"
-#include "support/Error.h"
 
 namespace c4cam::rt {
 
 namespace {
 
 using Programs = std::array<std::vector<Instr> *, 3>;
-
-/** Per-slot compile-time constant info: a slot is constant iff every
- *  write to it, across all three phase programs, is a ConstInt with
- *  the same immediate, and it is not a function argument (run()
- *  stores the caller's args into those slots). */
-struct ConstInfo
-{
-    std::vector<char> isConst;
-    std::vector<std::int64_t> value;
-
-    bool get(std::int32_t slot, std::int64_t *out) const
-    {
-        if (slot < 0 || static_cast<std::size_t>(slot) >= isConst.size() ||
-            !isConst[static_cast<std::size_t>(slot)])
-            return false;
-        *out = value[static_cast<std::size_t>(slot)];
-        return true;
-    }
-};
-
-ConstInfo
-analyzeConsts(const Programs &progs,
-              const std::vector<std::int32_t> &arg_slots,
-              std::int32_t num_slots)
-{
-    ConstInfo info;
-    info.isConst.assign(static_cast<std::size_t>(num_slots), 0);
-    info.value.assign(static_cast<std::size_t>(num_slots), 0);
-    std::vector<char> conflicted(static_cast<std::size_t>(num_slots), 0);
-    auto writeNonConst = [&](std::int32_t slot) {
-        if (slot < 0)
-            return;
-        conflicted[static_cast<std::size_t>(slot)] = 1;
-        info.isConst[static_cast<std::size_t>(slot)] = 0;
-    };
-    for (std::int32_t slot : arg_slots)
-        writeNonConst(slot);
-    for (const std::vector<Instr> *prog : progs) {
-        for (const Instr &in : *prog) {
-            if (in.op == Opcode::ConstInt && in.r >= 0) {
-                std::size_t r = static_cast<std::size_t>(in.r);
-                if (conflicted[r])
-                    continue;
-                if (!info.isConst[r]) {
-                    info.isConst[r] = 1;
-                    info.value[r] = in.imm;
-                } else if (info.value[r] != in.imm) {
-                    writeNonConst(in.r);
-                }
-                continue;
-            }
-            writeNonConst(in.r);
-            writeNonConst(in.r2);
-        }
-    }
-    return info;
-}
-
-bool
-evalCmpIPred(std::int64_t a, std::int64_t b, std::int64_t pred)
-{
-    switch (static_cast<CmpIPred>(pred)) {
-      case CmpIPred::Eq:
-        return a == b;
-      case CmpIPred::Ne:
-        return a != b;
-      case CmpIPred::Slt:
-        return a < b;
-      case CmpIPred::Sle:
-        return a <= b;
-      case CmpIPred::Sgt:
-        return a > b;
-      case CmpIPred::Sge:
-        return a >= b;
-    }
-    return false;
-}
-
-/** Fold one integer binop; false when the op is not foldable or would
- *  change runtime diagnostics (division by zero, INT64_MIN / -1). */
-bool
-evalIntBinop(Opcode op, std::int64_t a, std::int64_t b, std::int64_t *out)
-{
-    switch (op) {
-      case Opcode::AddI:
-        *out = a + b;
-        return true;
-      case Opcode::SubI:
-        *out = a - b;
-        return true;
-      case Opcode::MulI:
-        *out = a * b;
-        return true;
-      case Opcode::MinI:
-        *out = std::min(a, b);
-        return true;
-      case Opcode::MaxI:
-        *out = std::max(a, b);
-        return true;
-      case Opcode::DivI:
-        if (b == 0 ||
-            (a == std::numeric_limits<std::int64_t>::min() && b == -1))
-            return false;
-        *out = a / b;
-        return true;
-      case Opcode::RemI:
-        if (b == 0 ||
-            (a == std::numeric_limits<std::int64_t>::min() && b == -1))
-            return false;
-        *out = a % b;
-        return true;
-      default:
-        return false;
-    }
-}
-
-void
-rewriteToConstInt(Instr &in, std::int64_t value)
-{
-    Instr out;
-    out.op = Opcode::ConstInt;
-    out.r = in.r;
-    out.imm = value;
-    in = out;
-}
-
-void
-rewriteToJump(Instr &in)
-{
-    Instr out;
-    out.op = Opcode::Jump;
-    out.target = in.target;
-    in = out;
-}
-
-void
-rewriteToNop(Instr &in)
-{
-    in = Instr{};
-    in.op = Opcode::Nop;
-}
-
-/** Remove Nop placeholders; branch targets pointing at a removed
- *  instruction are redirected to the next surviving one. */
-int
-compactNops(std::vector<Instr> &prog)
-{
-    std::vector<std::int32_t> map(prog.size() + 1, 0);
-    std::int32_t next = 0;
-    bool any = false;
-    for (std::size_t i = 0; i < prog.size(); ++i) {
-        map[i] = next;
-        if (prog[i].op == Opcode::Nop)
-            any = true;
-        else
-            ++next;
-    }
-    map[prog.size()] = next;
-    if (!any)
-        return 0;
-    std::vector<Instr> out;
-    out.reserve(static_cast<std::size_t>(next));
-    for (Instr &in : prog) {
-        if (in.op == Opcode::Nop)
-            continue;
-        if (in.target >= 0)
-            in.target = map[static_cast<std::size_t>(in.target)];
-        out.push_back(std::move(in));
-    }
-    int removed = static_cast<int>(prog.size() - out.size());
-    prog = std::move(out);
-    return removed;
-}
-
-bool
-isBranching(Opcode op)
-{
-    switch (op) {
-      case Opcode::Jump:
-      case Opcode::BranchIfFalse:
-      case Opcode::BranchIfGe:
-      case Opcode::Return:
-      case Opcode::Halt:
-      case Opcode::FusedCmpBranch:
-      case Opcode::FusedAddJump:
-        return true;
-      default:
-        return false;
-    }
-}
 
 bool
 isIntPairOp(Opcode op)
@@ -278,283 +79,16 @@ floatSubCode(Opcode op)
         return static_cast<std::int64_t>(FloatSub::Max);
     }
 }
-
-/** Instructions safe to delete when their results are never read: no
- *  device/cost side effects, no control flow, cannot throw. */
-bool
-isPure(Opcode op)
-{
-    switch (op) {
-      case Opcode::ConstInt:
-      case Opcode::ConstFloat:
-      case Opcode::Copy:
-      case Opcode::CastToInt:
-      case Opcode::CastToFloat:
-      case Opcode::Sqrt:
-      case Opcode::Select:
-      case Opcode::CmpI:
-      case Opcode::CmpF:
-      case Opcode::AddI:
-      case Opcode::SubI:
-      case Opcode::MulI:
-      case Opcode::MinI:
-      case Opcode::MaxI:
-      case Opcode::AddF:
-      case Opcode::SubF:
-      case Opcode::MulF:
-      case Opcode::DivF:
-      case Opcode::MinF:
-      case Opcode::MaxF:
-      case Opcode::AllocBuf:
-      case Opcode::FusedIntPair:  // sub-ops restricted to the pure set
-      case Opcode::FusedFloatPair:
-      case Opcode::FusedCopyPair:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace
 
 //
-// Pass 1: constant folding
+// Superop fusion + chain collapse
 //
 
-int
-PlanOptimizer::runConstantFolding(ExecutionPlan &plan)
+void
+PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, PlanOptReport &report)
 {
     Programs progs = {&plan.full_, &plan.setup_, &plan.query_};
-    int folded = 0;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        ConstInfo consts = analyzeConsts(
-            {progs[0], progs[1], progs[2]}, plan.argSlots_, plan.numSlots_);
-        for (std::vector<Instr> *prog : progs) {
-            for (Instr &in : *prog) {
-                std::int64_t a = 0;
-                std::int64_t b = 0;
-                switch (in.op) {
-                  case Opcode::AddI:
-                  case Opcode::SubI:
-                  case Opcode::MulI:
-                  case Opcode::DivI:
-                  case Opcode::RemI:
-                  case Opcode::MinI:
-                  case Opcode::MaxI: {
-                    std::int64_t v = 0;
-                    if (consts.get(in.a, &a) && consts.get(in.b, &b) &&
-                        evalIntBinop(in.op, a, b, &v)) {
-                        rewriteToConstInt(in, v);
-                        changed = true;
-                        ++folded;
-                    }
-                    break;
-                  }
-                  case Opcode::CmpI:
-                    if (consts.get(in.a, &a) && consts.get(in.b, &b)) {
-                        rewriteToConstInt(
-                            in, evalCmpIPred(a, b, in.imm) ? 1 : 0);
-                        changed = true;
-                        ++folded;
-                    }
-                    break;
-                  case Opcode::Select:
-                    if (consts.get(in.a, &a)) {
-                        std::int32_t src = a != 0 ? in.b : in.c;
-                        Instr out;
-                        out.op = Opcode::Copy;
-                        out.a = src;
-                        out.r = in.r;
-                        in = out;
-                        changed = true;
-                        ++folded;
-                    }
-                    break;
-                  case Opcode::CheckPosStep:
-                    if (consts.get(in.a, &a) && a > 0) {
-                        rewriteToNop(in);
-                        changed = true;
-                        ++folded;
-                    }
-                    break;
-                  case Opcode::BranchIfFalse:
-                    if (consts.get(in.a, &a)) {
-                        if (a == 0)
-                            rewriteToJump(in);
-                        else
-                            rewriteToNop(in);
-                        changed = true;
-                        ++folded;
-                    }
-                    break;
-                  case Opcode::BranchIfGe:
-                    if (consts.get(in.a, &a) && consts.get(in.b, &b)) {
-                        if (a >= b)
-                            rewriteToJump(in);
-                        else
-                            rewriteToNop(in);
-                        changed = true;
-                        ++folded;
-                    }
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
-        if (changed)
-            for (std::vector<Instr> *prog : progs)
-                compactNops(*prog);
-    }
-    return folded;
-}
-
-//
-// Pass 2: loop-invariant subview hoisting
-//
-
-int
-PlanOptimizer::runSubviewHoisting(ExecutionPlan &plan)
-{
-    Programs progs = {&plan.full_, &plan.setup_, &plan.query_};
-    int hoisted = 0;
-    for (std::vector<Instr> *prog_ptr : progs) {
-        std::vector<Instr> &prog = *prog_ptr;
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            ConstInfo consts = analyzeConsts(
-                {progs[0], progs[1], progs[2]}, plan.argSlots_,
-                plan.numSlots_);
-            std::unordered_set<std::int32_t> targets;
-            for (const Instr &in : prog)
-                if (in.target >= 0)
-                    targets.insert(in.target);
-            for (std::size_t j = 0; j < prog.size() && !changed; ++j) {
-                const Instr &back = prog[j];
-                // A backward Jump is a loop back-edge; its target is
-                // the loop-head bounds check.
-                if (back.op != Opcode::Jump || back.target < 0 ||
-                    static_cast<std::size_t>(back.target) >= j)
-                    continue;
-                std::size_t h = static_cast<std::size_t>(back.target);
-                const Instr &head = prog[h];
-                if (head.op != Opcode::BranchIfGe || h == 0)
-                    continue;
-                // The loop must be entered by falling into the head
-                // (otherwise the trip-count reasoning below is void).
-                std::size_t head_preds = 0;
-                for (const Instr &in : prog)
-                    if (in.target == static_cast<std::int32_t>(h))
-                        ++head_preds;
-                if (head_preds != 1)
-                    continue;
-                // Guaranteed >= 1 trip: iv is initialized right before
-                // the head from a constant lower bound, the upper
-                // bound is constant, and lb < ub. (PlanBuilder always
-                // emits `Copy lb -> iv` at head-1; CheckPosStep has
-                // already guaranteed a positive step.)
-                std::int64_t lb = 0;
-                std::int64_t ub = 0;
-                if (!consts.get(head.b, &ub))
-                    continue;
-                const Instr &init = prog[h - 1];
-                if (init.r != head.a)
-                    continue;
-                if (init.op == Opcode::Copy) {
-                    if (!consts.get(init.a, &lb))
-                        continue;
-                } else if (init.op == Opcode::ConstInt) {
-                    lb = init.imm;
-                } else {
-                    continue;
-                }
-                if (lb >= ub)
-                    continue;
-                // Slots written anywhere in the loop body.
-                std::vector<char> written(
-                    static_cast<std::size_t>(plan.numSlots_), 0);
-                for (std::size_t i = h; i <= j; ++i) {
-                    if (prog[i].r >= 0)
-                        written[static_cast<std::size_t>(prog[i].r)] = 1;
-                    if (prog[i].r2 >= 0)
-                        written[static_cast<std::size_t>(prog[i].r2)] = 1;
-                }
-                // Scan the straight-line prefix of the body: every
-                // instruction here executes on every iteration, so a
-                // Subview with loop-invariant operands can move above
-                // the head. Stop at the first branch or branch target
-                // (conditionally-executed code must not be hoisted: a
-                // guard may be protecting the slice bounds).
-                for (std::size_t i = h + 1; i < j; ++i) {
-                    const Instr &in = prog[i];
-                    if (isBranching(in.op) ||
-                        targets.count(static_cast<std::int32_t>(i)))
-                        break;
-                    if (in.op != Opcode::Subview)
-                        continue;
-                    bool invariant =
-                        in.a >= 0 &&
-                        !written[static_cast<std::size_t>(in.a)];
-                    const ExecutionPlan::SliceSpec &spec =
-                        plan.slices_[static_cast<std::size_t>(in.aux)];
-                    auto checkDims =
-                        [&](const std::vector<ExecutionPlan::SliceDim>
-                                &dims) {
-                            for (const ExecutionPlan::SliceDim &dim : dims)
-                                if (dim.slot >= 0 &&
-                                    written[static_cast<std::size_t>(
-                                        dim.slot)])
-                                    invariant = false;
-                        };
-                    checkDims(spec.offsets);
-                    checkDims(spec.sizes);
-                    if (!invariant)
-                        continue;
-                    // The result slot must have no other writer in the
-                    // body, or hoisting would change which write wins.
-                    bool sole_writer = true;
-                    for (std::size_t k = h; k <= j && sole_writer; ++k)
-                        if (k != i && (prog[k].r == in.r ||
-                                       prog[k].r2 == in.r))
-                            sole_writer = false;
-                    if (!sole_writer)
-                        continue;
-                    // Move prog[i] to position h (just above the
-                    // head). Old indices [h, i) shift down by one;
-                    // i itself is not a branch target (checked above).
-                    for (Instr &fix : prog)
-                        if (fix.target >=
-                                static_cast<std::int32_t>(h) &&
-                            fix.target < static_cast<std::int32_t>(i))
-                            ++fix.target;
-                    Instr sub = prog[i];
-                    prog.erase(prog.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-                    prog.insert(prog.begin() +
-                                    static_cast<std::ptrdiff_t>(h),
-                                sub);
-                    ++hoisted;
-                    changed = true;
-                    break;
-                }
-            }
-        }
-    }
-    return hoisted;
-}
-
-//
-// Pass 3: superop fusion
-//
-
-int
-PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
-{
-    Programs progs = {&plan.full_, &plan.setup_, &plan.query_};
-    int fused = 0;
     for (std::vector<Instr> *prog_ptr : progs) {
         std::vector<Instr> &prog = *prog_ptr;
         std::unordered_set<std::int32_t> targets;
@@ -633,7 +167,7 @@ PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
                     map[i + 1] = static_cast<std::int32_t>(out.size());
                     out.push_back(std::move(f));
                     i += 2;
-                    ++fused;
+                    ++report.fusedSuperops;
                     continue;
                 }
             }
@@ -652,8 +186,7 @@ PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
     // op1's result slot switch to register forwarding (kFusedChainX/Y),
     // and results whose every reader -- across all three phase
     // programs, the aux tables and the fused op itself -- is
-    // chain-internal stop being stored at all (r = -1). DSE later
-    // compacts the freed slots away.
+    // chain-internal stop being stored at all (r = -1).
     std::vector<std::uint32_t> reads(
         static_cast<std::size_t>(plan.numSlots_), 0);
     auto count = [&](std::int32_t slot) {
@@ -683,7 +216,6 @@ PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
         count(spec.rowBeginSlot);
         count(spec.rowEndSlot);
     }
-    int collapsed = 0;
     for (std::vector<Instr> *prog : progs) {
         for (Instr &in : *prog) {
             switch (in.op) {
@@ -708,7 +240,7 @@ PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
                 if (internal != 0 &&
                     reads[static_cast<std::size_t>(in.r)] == internal) {
                     in.r = -1;
-                    ++collapsed;
+                    ++report.collapsedWrites;
                 }
                 break;
               }
@@ -719,7 +251,7 @@ PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
                 if (in.r >= 0 &&
                     reads[static_cast<std::size_t>(in.r)] == 0) {
                     in.r = -1;
-                    ++collapsed;
+                    ++report.collapsedWrites;
                 }
                 break;
               case Opcode::FusedCopyPair:
@@ -731,7 +263,7 @@ PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
                     in.r = in.r2;
                     in.r2 = -1;
                     in.c = -1;
-                    ++collapsed;
+                    ++report.collapsedWrites;
                 }
                 break;
               default:
@@ -739,186 +271,20 @@ PlanOptimizer::runSuperopFusion(ExecutionPlan &plan, int *collapsed_writes)
             }
         }
     }
-    if (collapsed_writes)
-        *collapsed_writes += collapsed;
-    return fused;
 }
 
 //
-// Pass 4: dead-slot elimination + frame compaction
-//
-
-int
-PlanOptimizer::runDeadSlotElimination(ExecutionPlan &plan)
-{
-    Programs progs = {&plan.full_, &plan.setup_, &plan.query_};
-    int removed = 0;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        std::vector<char> live(static_cast<std::size_t>(plan.numSlots_),
-                               0);
-        auto mark = [&](std::int32_t slot) {
-            if (slot >= 0)
-                live[static_cast<std::size_t>(slot)] = 1;
-        };
-        for (std::int32_t slot : plan.argSlots_)
-            mark(slot);
-        // Slots referenced by aux tables (dynamic slice dims, dynamic
-        // k, dynamic search row ranges) are reads.
-        for (const ExecutionPlan::SliceSpec &spec : plan.slices_) {
-            for (const ExecutionPlan::SliceDim &dim : spec.offsets)
-                mark(dim.slot);
-            for (const ExecutionPlan::SliceDim &dim : spec.sizes)
-                mark(dim.slot);
-        }
-        for (const ExecutionPlan::TopkSpec &spec : plan.topks_)
-            mark(spec.kSlot);
-        for (const ExecutionPlan::SimilaritySpec &spec : plan.sims_)
-            mark(spec.kSlot);
-        for (const ExecutionPlan::SearchSpec &spec : plan.searches_) {
-            mark(spec.rowBeginSlot);
-            mark(spec.rowEndSlot);
-        }
-        for (std::vector<Instr> *prog : progs) {
-            for (const Instr &in : *prog) {
-                mark(in.a);
-                mark(in.b);
-                mark(in.c);
-                for (std::int32_t slot : in.extra)
-                    mark(slot);
-            }
-        }
-        for (std::vector<Instr> *prog : progs) {
-            for (Instr &in : *prog) {
-                if (!isPure(in.op) || in.r < 0)
-                    continue;
-                if (live[static_cast<std::size_t>(in.r)])
-                    continue;
-                if (in.r2 >= 0 && live[static_cast<std::size_t>(in.r2)])
-                    continue;
-                rewriteToNop(in);
-                changed = true;
-                ++removed;
-            }
-        }
-        if (changed)
-            for (std::vector<Instr> *prog : progs)
-                compactNops(*prog);
-    }
-    return removed;
-}
-
-void
-PlanOptimizer::compactFrame(ExecutionPlan &plan)
-{
-    Programs progs = {&plan.full_, &plan.setup_, &plan.query_};
-    std::vector<std::int32_t> remap(
-        static_cast<std::size_t>(plan.numSlots_), -1);
-    std::int32_t next = 0;
-    auto touch = [&](std::int32_t slot) {
-        if (slot >= 0 && remap[static_cast<std::size_t>(slot)] < 0)
-            remap[static_cast<std::size_t>(slot)] = next++;
-    };
-    for (std::int32_t slot : plan.argSlots_)
-        touch(slot);
-    for (std::vector<Instr> *prog : progs) {
-        for (const Instr &in : *prog) {
-            touch(in.a);
-            touch(in.b);
-            touch(in.c);
-            touch(in.r);
-            touch(in.r2);
-            for (std::int32_t slot : in.extra)
-                touch(slot);
-        }
-    }
-    for (const ExecutionPlan::SliceSpec &spec : plan.slices_) {
-        for (const ExecutionPlan::SliceDim &dim : spec.offsets)
-            touch(dim.slot);
-        for (const ExecutionPlan::SliceDim &dim : spec.sizes)
-            touch(dim.slot);
-    }
-    for (const ExecutionPlan::TopkSpec &spec : plan.topks_)
-        touch(spec.kSlot);
-    for (const ExecutionPlan::SimilaritySpec &spec : plan.sims_)
-        touch(spec.kSlot);
-    for (const ExecutionPlan::SearchSpec &spec : plan.searches_) {
-        touch(spec.rowBeginSlot);
-        touch(spec.rowEndSlot);
-    }
-
-    auto fix = [&](std::int32_t &slot) {
-        if (slot >= 0)
-            slot = remap[static_cast<std::size_t>(slot)];
-    };
-    for (std::vector<Instr> *prog : progs) {
-        for (Instr &in : *prog) {
-            fix(in.a);
-            fix(in.b);
-            fix(in.c);
-            fix(in.r);
-            fix(in.r2);
-            for (std::int32_t &slot : in.extra)
-                fix(slot);
-        }
-    }
-    for (ExecutionPlan::SliceSpec &spec : plan.slices_) {
-        for (ExecutionPlan::SliceDim &dim : spec.offsets)
-            fix(dim.slot);
-        for (ExecutionPlan::SliceDim &dim : spec.sizes)
-            fix(dim.slot);
-    }
-    for (ExecutionPlan::TopkSpec &spec : plan.topks_)
-        fix(spec.kSlot);
-    for (ExecutionPlan::SimilaritySpec &spec : plan.sims_)
-        fix(spec.kSlot);
-    for (ExecutionPlan::SearchSpec &spec : plan.searches_) {
-        fix(spec.rowBeginSlot);
-        fix(spec.rowEndSlot);
-    }
-    for (std::int32_t &slot : plan.argSlots_)
-        fix(slot);
-    plan.numSlots_ = next;
-}
-
-//
-// Pipeline driver
+// Driver
 //
 
 std::shared_ptr<const ExecutionPlan>
-PlanOptimizer::optimize(const ExecutionPlan &plan,
-                        const PlanOptOptions &options,
-                        PlanOptReport *report)
+PlanOptimizer::optimize(const ExecutionPlan &plan, PlanOptReport *report)
 {
     auto out = std::make_shared<ExecutionPlan>(plan);
     PlanOptReport local;
     PlanOptReport &rep = report ? *report : local;
     rep = PlanOptReport{};
-    rep.slotsBefore = plan.numSlots();
-    auto snap = [&](const char *pass) {
-        if (options.collectDumps)
-            rep.passDumps.emplace_back(pass, disassemble(*out));
-    };
-    snap("input");
-    if (options.constantFolding) {
-        rep.foldedInstructions = runConstantFolding(*out);
-        snap("constant-folding");
-    }
-    if (options.subviewHoisting) {
-        rep.hoistedSubviews = runSubviewHoisting(*out);
-        snap("subview-hoisting");
-    }
-    if (options.superopFusion) {
-        rep.fusedSuperops = runSuperopFusion(*out, &rep.collapsedWrites);
-        snap("superop-fusion");
-    }
-    if (options.deadSlotElimination) {
-        rep.removedInstructions = runDeadSlotElimination(*out);
-        compactFrame(*out);
-        snap("dead-slot-elimination");
-    }
-    rep.slotsAfter = out->numSlots();
+    runSuperopFusion(*out, rep);
     return out;
 }
 
@@ -988,7 +354,6 @@ opcodeName(Opcode op)
       case Opcode::CamSearch: return "CamSearch";
       case Opcode::CamRead: return "CamRead";
       case Opcode::CamMergePartialSub: return "CamMergePartialSub";
-      case Opcode::Nop: return "Nop";
       case Opcode::FusedIntPair: return "FusedIntPair";
       case Opcode::FusedFloatPair: return "FusedFloatPair";
       case Opcode::FusedCopyPair: return "FusedCopyPair";

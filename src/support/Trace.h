@@ -43,6 +43,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -127,14 +128,18 @@ class TraceCollector
     /** Microseconds since this collector's construction. */
     double nowUs() const { return toUs(std::chrono::steady_clock::now()); }
 
-    /** Convert a caller-taken timestamp to epoch-relative us. All
-     *  layers stamp with the same clock, so span intervals built from
-     *  shared time points telescope exactly. */
+    /** Convert a caller-taken timestamp to epoch-relative us, rounded
+     *  to a multiple of 2^-10 us (~1 ns). All layers stamp with the
+     *  same clock, and below 2^43 us (~100 days) the difference and
+     *  sum of two such multiples are exact doubles, so span intervals
+     *  built from shared time points telescope bit for bit:
+     *  start + (end - start) == end. */
     double
     toUs(std::chrono::steady_clock::time_point tp) const
     {
-        return std::chrono::duration<double, std::micro>(tp - epoch_)
-            .count();
+        double us =
+            std::chrono::duration<double, std::micro>(tp - epoch_).count();
+        return std::round(us * 1024.0) / 1024.0;
     }
 
     /** Append one event (one mutex acquisition). */

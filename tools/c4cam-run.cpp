@@ -60,12 +60,10 @@
  * reports retries / deadline sheds / quarantines / degraded serves.
  *
  * Plan-pipeline introspection: --dump-plan[=FILE] disassembles the
- * kernel's compiled (optimized) ExecutionPlan; --plan-opt-debug prints
- * the per-pass before/after bytecode of the rt::PlanOptimizer pipeline
- * on this kernel. Every run reports the process-wide PlanCache counters (text
- * line and "plan_cache" object in --json); with --trace-out, compiles
- * and cache hits additionally appear as plan-compile/plan-cache-hit
- * spans.
+ * kernel's compiled (superop-fused) ExecutionPlan. Every run reports
+ * the process-wide PlanCache counters (text line and "plan_cache"
+ * object in --json); with --trace-out, compiles and cache hits
+ * additionally appear as plan-compile/plan-cache-hit spans.
  */
 
 #include <deque>
@@ -87,7 +85,6 @@
 #include "core/ServingEngine.h"
 #include "core/ShardedEngine.h"
 #include "dialects/BuiltinDialect.h"
-#include "runtime/ExecutionPlan.h"
 #include "runtime/PlanOptimizer.h"
 #include "sim/FaultInjector.h"
 #include "support/CliParse.h"
@@ -110,7 +107,6 @@ usage()
               << " [--queue-depth N]"
               << " [--policy block|reject|drop-oldest] [--fuse-k N]"
               << " [--trace-out FILE] [--dump-plan[=FILE]]"
-              << " [--plan-opt-debug]"
               << " [--fusion-model]"
               << " [--fault-spec FILE] [--fault-rate X] [--retries N]"
               << " [--deadline-us N] [--allow-degraded]\n";
@@ -180,7 +176,6 @@ main(int argc, char **argv)
     bool true_fused = false;
     bool dump_plan = false;
     std::string dump_plan_path;
-    bool plan_opt_debug = false;
     bool use_async = false;
     bool async_flags_seen = false; // --queue-depth/--policy/--fuse-k
     long long batch = 0;
@@ -286,8 +281,6 @@ main(int argc, char **argv)
             dump_plan_path = arg.substr(std::string("--dump-plan=").size());
             if (dump_plan_path.empty())
                 return usage();
-        } else if (arg == "--plan-opt-debug") {
-            plan_opt_debug = true;
         } else if (arg == "--help" || arg == "-h") {
             return usage();
         } else if (arg.size() > 1 && arg[0] == '-') {
@@ -417,27 +410,6 @@ main(int argc, char **argv)
                 out << text;
             }
         }
-        if (plan_opt_debug) {
-            // Re-derive the raw transcription and re-run the optimizer
-            // with snapshots on (the cached plan kept no per-pass
-            // history).
-            auto raw = rt::ExecutionPlan::compile(
-                std::as_const(kernel).module(), kernel.entryPoint());
-            rt::PlanOptOptions dbg;
-            dbg.collectDumps = true;
-            rt::PlanOptReport report;
-            rt::PlanOptimizer::optimize(*raw, dbg, &report);
-            for (const auto &d : report.passDumps)
-                std::cout << "=== " << d.first << " ===\n" << d.second;
-            std::cout << "plan-opt: folded " << report.foldedInstructions
-                      << ", hoisted " << report.hoistedSubviews
-                      << ", fused " << report.fusedSuperops
-                      << ", collapsed " << report.collapsedWrites
-                      << ", removed " << report.removedInstructions
-                      << "; slots " << report.slotsBefore << " -> "
-                      << report.slotsAfter << "\n";
-        }
-
         if (print_ir)
             std::cout << std::as_const(kernel).module().str() << "\n";
 
