@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "core/ExecutionSession.h"
 #include "core/ServingEngine.h"
 #include "core/ShardedEngine.h"
+#include "sim/FaultInjector.h"
 #include "sim/Timing.h"
 #include "support/Error.h"
 #include "support/Rng.h"
@@ -341,6 +343,124 @@ TEST(ShardedEngine, ScatterAndMergeSpansTileTheRootQuerySpan)
             }
         EXPECT_EQ(shard_children, 2 * 2); // execute + merge, 2 shards
     }
+}
+
+namespace {
+
+/** The spans of one traced fused chunk, grouped per query root. */
+struct FusedQuerySpans
+{
+    const support::TraceEvent *root = nullptr;
+    std::vector<const support::TraceEvent *> children;
+
+    std::vector<const support::TraceEvent *>
+    named(const std::string &name) const
+    {
+        std::vector<const support::TraceEvent *> out;
+        for (const support::TraceEvent *ev : children)
+            if (name == ev->name)
+                out.push_back(ev);
+        return out;
+    }
+};
+
+/** Every root "query" span of @p events with its direct children
+ *  (pointers into @p events), after checking that every span's parent
+ *  resolves. */
+std::vector<FusedQuerySpans>
+querySpans(const std::vector<support::TraceEvent> &events)
+{
+    std::set<std::uint64_t> ids;
+    for (const auto &ev : events)
+        ids.insert(ev.spanId);
+    std::vector<FusedQuerySpans> queries;
+    for (const auto &ev : events) {
+        EXPECT_TRUE(ev.parentSpanId == 0 || ids.count(ev.parentSpanId))
+            << ev.name << " has an unresolved parent";
+        if (std::string(ev.name) == "query")
+            queries.push_back({&ev, {}});
+    }
+    for (FusedQuerySpans &q : queries)
+        for (const auto &ev : events)
+            if (ev.parentSpanId == q.root->spanId)
+                q.children.push_back(&ev);
+    return queries;
+}
+
+/** A served fused query: scatter + shard-merge tile its root bitwise
+ *  and carry the chunk width. */
+void
+expectFusedQueryTiles(const FusedQuerySpans &q, std::int64_t k)
+{
+    ASSERT_EQ(q.named("scatter").size(), 1u);
+    ASSERT_EQ(q.named("shard-merge").size(), 1u);
+    EXPECT_TRUE(q.named("scatter-abort").empty());
+    const support::TraceEvent &root = *q.root;
+    const support::TraceEvent &scatter = *q.named("scatter")[0];
+    const support::TraceEvent &merge = *q.named("shard-merge")[0];
+    EXPECT_EQ(scatter.startUs, root.startUs);
+    EXPECT_EQ(merge.startUs, scatter.startUs + scatter.durUs);
+    EXPECT_EQ(root.startUs + root.durUs, merge.startUs + merge.durUs);
+    EXPECT_EQ(root.fusedK, k);
+    EXPECT_EQ(scatter.fusedK, k);
+}
+
+} // namespace
+
+TEST(ShardedEngine, FusedChunkSpansTileEachRootAndMarkAborts)
+{
+    Workload w = makeWorkload(12, 64, 2, 4, 109);
+    const std::size_t n = w.batches.size();
+    const std::int64_t k = static_cast<std::int64_t>(n);
+
+    // One replica per shard: injector device 1 is shard 1's device.
+    // Its first search throws, so the first chunk aborts as a whole.
+    sim::FaultSpec spec;
+    sim::FaultRule rule;
+    rule.kind = sim::FaultRule::Kind::Transient;
+    rule.device = 1;
+    rule.atSearch = 1;
+    spec.rules.push_back(rule);
+    core::ShardedEngineOptions sharding;
+    sharding.shards = 2;
+    sharding.faultInjector = std::make_shared<sim::FaultInjector>(spec);
+    core::ShardedEngine engine(w.options, w.source, w.batches[0],
+                               sharding);
+    support::TraceCollector collector;
+    engine.enableTracing(&collector);
+
+    EXPECT_THROW(engine.serveFusedChunk(w.batches, 0, n),
+                 sim::TransientFault);
+    EXPECT_EQ(engine.queriesServed(), 0);
+    core::FusedBatchResult fused = engine.serveFusedChunk(w.batches, 0, n);
+    ASSERT_EQ(fused.results.size(), n);
+    EXPECT_EQ(engine.queriesServed(), k);
+
+    const std::vector<support::TraceEvent> events = collector.snapshot();
+    std::vector<FusedQuerySpans> queries = querySpans(events);
+    ASSERT_EQ(queries.size(), 2 * n);
+    std::size_t aborted = 0;
+    std::size_t served = 0;
+    for (const FusedQuerySpans &q : queries) {
+        EXPECT_EQ(q.root->fusedK, k);
+        if (!q.named("scatter-abort").empty()) {
+            // The aborted chunk: exactly one abort span per query and
+            // no scatter/merge pair it never completed.
+            ++aborted;
+            ASSERT_EQ(q.named("scatter-abort").size(), 1u);
+            EXPECT_TRUE(q.named("scatter").empty());
+            EXPECT_TRUE(q.named("shard-merge").empty());
+            const support::TraceEvent &abort = *q.named("scatter-abort")[0];
+            EXPECT_EQ(abort.fusedK, k);
+            EXPECT_EQ(abort.startUs, q.root->startUs);
+            EXPECT_EQ(abort.durUs, q.root->durUs);
+        } else {
+            ++served;
+            expectFusedQueryTiles(q, k);
+        }
+    }
+    EXPECT_EQ(aborted, n);
+    EXPECT_EQ(served, n);
 }
 
 TEST(ShardedEngine, AggregatedReportsFollowTheMaxSumRule)
