@@ -76,32 +76,22 @@ AsyncServingEngine::enqueue(Pending pending)
     if (col) {
         if (pending.admitStart == Clock::time_point{})
             pending.admitStart = Clock::now();
-        pending.queryId = col->newQueryId();
-        pending.rootSpan = col->newSpanId();
+        pending.trace = support::SpanContext::newRoot(col, traceId_);
     }
     pending.enqueued = Clock::now();
     // Copies for the admit span: the push may move pending away (and
     // under the Block policy the push-wait is enqueue-wait time, so
     // the admit span closes at the pre-push `enqueued` stamp).
-    const std::uint64_t query_id = pending.queryId;
-    const std::uint64_t root_span = pending.rootSpan;
+    const support::SpanContext trace = pending.trace;
     const Clock::time_point admit_start = pending.admitStart;
     const Clock::time_point admit_end = pending.enqueued;
     auto result = queue_.push(std::move(pending));
     switch (result.status) {
     case support::BoundedQueue<Pending>::PushStatus::Ok:
         accepted_.fetch_add(1);
-        if (col) {
-            support::TraceEvent admit;
-            admit.name = "admit";
-            admit.traceId = traceId_;
-            admit.queryId = query_id;
-            admit.spanId = col->newSpanId();
-            admit.parentSpanId = root_span;
-            admit.startUs = col->toUs(admit_start);
-            admit.durUs = col->toUs(admit_end) - admit.startUs;
-            col->record(admit);
-        }
+        if (col)
+            col->record(trace.span("admit", col->toUs(admit_start),
+                                   col->toUs(admit_end)));
         if (result.displaced) {
             // DropOldest evicted the stalest queued query to admit
             // this one; its submitter still gets a completion.
@@ -225,30 +215,15 @@ AsyncServingEngine::recordCompletionSpans(const Pending &pending,
     // Recorded after the fulfillment but BEFORE the completed_ bump:
     // once drain() returns, every delivered query's spans are already
     // in the collector.
-    support::TraceCollector *col = options_.trace;
-    if (!col || pending.rootSpan == 0)
+    const support::SpanContext &trace = pending.trace;
+    if (!trace.enabled())
         return;
-    Clock::time_point now = Clock::now();
-    double now_us = col->toUs(now);
-    if (dispatch_done != Clock::time_point{}) {
-        support::TraceEvent del;
-        del.name = "deliver";
-        del.traceId = traceId_;
-        del.queryId = pending.queryId;
-        del.spanId = col->newSpanId();
-        del.parentSpanId = pending.rootSpan;
-        del.startUs = col->toUs(dispatch_done);
-        del.durUs = now_us - del.startUs;
-        col->record(del);
-    }
-    support::TraceEvent root;
-    root.name = "query";
-    root.traceId = traceId_;
-    root.queryId = pending.queryId;
-    root.spanId = pending.rootSpan;
-    root.startUs = col->toUs(pending.admitStart);
-    root.durUs = now_us - root.startUs;
-    col->record(root);
+    support::TraceCollector *col = trace.collector;
+    double now_us = col->nowUs();
+    if (dispatch_done != Clock::time_point{})
+        col->record(
+            trace.span("deliver", col->toUs(dispatch_done), now_us));
+    col->record(trace.root(col->toUs(pending.admitStart), now_us));
 }
 
 void
@@ -376,19 +351,18 @@ AsyncServingEngine::dispatchLoop()
             // span parents under it via the per-query context.
             ctxs.clear();
             ctxs.reserve(n);
-            for (const Pending &p : group)
-                ctxs.push_back(support::SpanContext{
-                    col, traceId_, p.queryId, col->newSpanId()});
-            support::TraceEvent decision;
-            decision.name = "fuse-decision";
-            decision.traceId = traceId_;
-            decision.queryId = group[0].queryId;
-            decision.spanId = col->newSpanId();
-            decision.startUs = col->toUs(popped);
-            decision.durUs = 0.0;
-            decision.fusedK =
-                n >= 2 ? static_cast<std::int64_t>(n) : 0;
-            recorder.record(decision);
+            for (const Pending &p : group) {
+                ctxs.push_back(p.trace);
+                ctxs.back().parentSpanId = col->newSpanId();
+            }
+            // Self-rooted: the decision belongs to the group, named by
+            // its first query.
+            support::SpanContext group_ctx = group[0].trace;
+            group_ctx.parentSpanId = 0;
+            double popped_us = col->toUs(popped);
+            recorder.record(group_ctx.span(
+                "fuse-decision", popped_us, popped_us, 0,
+                n >= 2 ? static_cast<std::int64_t>(n) : 0));
         }
 
         // Execute first, collect the per-query outcomes, THEN record
@@ -460,28 +434,13 @@ AsyncServingEngine::dispatchLoop()
             double popped_us = col->toUs(popped);
             double done_us = col->toUs(done);
             for (std::size_t i = 0; i < n; ++i) {
-                const Pending &p = group[i];
-                support::TraceEvent wait;
-                wait.name = "enqueue-wait";
-                wait.traceId = traceId_;
-                wait.queryId = p.queryId;
-                wait.spanId = col->newSpanId();
-                wait.parentSpanId = p.rootSpan;
-                wait.startUs = col->toUs(p.enqueued);
-                wait.durUs = popped_us - wait.startUs;
-                recorder.record(wait);
-
-                support::TraceEvent dispatch;
-                dispatch.name = "dispatch";
-                dispatch.traceId = traceId_;
-                dispatch.queryId = p.queryId;
-                dispatch.spanId = ctxs[i].parentSpanId;
-                dispatch.parentSpanId = p.rootSpan;
-                dispatch.startUs = popped_us;
-                dispatch.durUs = done_us - popped_us;
-                dispatch.fusedK =
-                    fused_ok ? static_cast<std::int64_t>(n) : 0;
-                recorder.record(dispatch);
+                const support::SpanContext &trace = group[i].trace;
+                recorder.record(trace.span("enqueue-wait",
+                                           col->toUs(group[i].enqueued),
+                                           popped_us));
+                recorder.record(trace.span(
+                    "dispatch", popped_us, done_us, ctxs[i].parentSpanId,
+                    fused_ok ? static_cast<std::int64_t>(n) : 0));
             }
             // Flush before delivering: once a completion fires (and
             // certainly once drain() returns) this group's spans must

@@ -328,10 +328,10 @@ class AsyncServingEngine
          *  default), so the dispatcher just compares. */
         std::int64_t deadlineUs = 0;
 
-        /// @name Tracing (zero / epoch when tracing is off)
+        /// @name Tracing (disabled / epoch when tracing is off)
         /// @{
-        std::uint64_t queryId = 0;
-        std::uint64_t rootSpan = 0;
+        /** This query's root context (SpanContext::newRoot). */
+        support::SpanContext trace;
         Clock::time_point admitStart; ///< submit-entry timestamp
         /// @}
     };

@@ -130,28 +130,12 @@ ExecutionSession::execute(const std::vector<rt::BufferPtr> &args,
     if (parent) {
         ctx = *parent;
     } else if (trace_) {
-        ctx.collector = trace_;
-        ctx.traceId = traceId_;
-        ctx.queryId = trace_->newQueryId();
-        ctx.parentSpanId = trace_->newSpanId(); // becomes the root id
+        ctx = support::SpanContext::newRoot(trace_, traceId_);
         own_root = true;
     }
     support::TraceCollector *col = ctx.collector;
     std::uint64_t execSpan = col ? col->newSpanId() : 0;
     double t0 = col ? col->nowUs() : 0.0;
-
-    auto span = [&](const char *name, std::uint64_t id,
-                    std::uint64_t parent_id, double start, double end) {
-        support::TraceEvent ev;
-        ev.name = name;
-        ev.traceId = ctx.traceId;
-        ev.queryId = ctx.queryId;
-        ev.spanId = id;
-        ev.parentSpanId = parent_id;
-        ev.startUs = start;
-        ev.durUs = end - start;
-        return ev;
-    };
 
     ExecutionResult result;
     try {
@@ -185,9 +169,9 @@ ExecutionSession::execute(const std::vector<rt::BufferPtr> &args,
             // under execSpan during unwinding; record execute (and the
             // root, when owned) so the trace stays parent-resolvable.
             double now = col->nowUs();
-            col->record(span("execute", execSpan, ctx.parentSpanId, t0, now));
+            col->record(ctx.span("execute", t0, now, execSpan));
             if (own_root)
-                col->record(span("query", ctx.parentSpanId, 0, t0, now));
+                col->record(ctx.root(t0, now));
         }
         throw;
     }
@@ -199,14 +183,12 @@ ExecutionSession::execute(const std::vector<rt::BufferPtr> &args,
     }
     if (col) {
         double m1 = col->nowUs();
-        support::TraceEvent exec =
-            span("execute", execSpan, ctx.parentSpanId, t0, e1);
+        support::TraceEvent exec = ctx.span("execute", t0, e1, execSpan);
         sim::attachWindowBreakdown(exec, result.perf);
         col->record(exec);
-        col->record(
-            span("merge", col->newSpanId(), ctx.parentSpanId, e1, m1));
+        col->record(ctx.span("merge", e1, m1));
         if (own_root)
-            col->record(span("query", ctx.parentSpanId, 0, t0, m1));
+            col->record(ctx.root(t0, m1));
     }
     return result;
 }
@@ -237,40 +219,49 @@ ExecutionSession::runBatch(
 
 FusedBatchResult
 ExecutionSession::runFusedBatch(
-    const std::vector<std::vector<rt::BufferPtr>> &queries)
+    std::span<const std::vector<rt::BufferPtr>> queries,
+    std::span<const support::SpanContext> ctxs,
+    std::vector<QueryHostTime> *times)
 {
     C4CAM_CHECK(!queries.empty(), "fused batch needs at least one query");
+    C4CAM_CHECK(ctxs.empty() || ctxs.size() == queries.size(),
+                "fused batch of " << queries.size() << " queries got "
+                << ctxs.size() << " span contexts");
     // Validate everything up front: a malformed query must fail before
     // the fused window opens, not leave the device mid-batch.
     for (const auto &args : queries)
         validateKernelArgs(entryBody_, entry_, args);
 
-    std::vector<ExecutionResult> results;
-    results.reserve(queries.size());
+    using Clock = std::chrono::steady_clock;
     FusedBatchResult batch;
-    if (!persistent_) {
-        // Non-persistent fallback (host-only kernels, or device
-        // kernels without phase markers): no programmed device to
-        // open a fused window on.
-        for (const auto &args : queries)
-            results.push_back(execute(args, nullptr));
-        batch = synthesizeFusedBatch(std::move(results), false,
-                                     setupReport_);
-    } else {
+    batch.results.reserve(queries.size());
+    // Non-persistent sessions (host-only kernels, or device kernels
+    // without phase markers) have no programmed device to open a
+    // fused window on.
+    if (persistent_)
         device_->beginFusedWindow(static_cast<int>(queries.size()));
-        try {
-            for (const auto &args : queries)
-                results.push_back(execute(args, nullptr));
-            batch.fused = device_->endFusedWindow();
-        } catch (...) {
-            // A failed query leaves the partial fused accounting
-            // meaningless; discard it so the session stays servable.
-            device_->abortFusedWindow();
-            throw;
+    try {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+            Clock::time_point start = Clock::now();
+            batch.results.push_back(
+                execute(queries[i], ctxs.empty() ? nullptr : &ctxs[i]));
+            if (times)
+                times->push_back({start, Clock::now()});
         }
-        batch.results = std::move(results);
-        batch.fusedReport = batch.fused.toReport(setupReport_);
+        if (persistent_)
+            batch.fused = device_->endFusedWindow();
+    } catch (...) {
+        // A failed query leaves the partial fused accounting
+        // meaningless; discard it so the session stays servable.
+        if (persistent_)
+            device_->abortFusedWindow();
+        throw;
     }
+    if (persistent_)
+        batch.fusedReport = batch.fused.toReport(setupReport_);
+    else
+        batch = synthesizeFusedBatch(std::move(batch.results), false,
+                                     setupReport_);
     // Count the batch only now that all of it succeeded: a failed
     // batch hands the caller no results, so a retry must not find its
     // served prefix already counted.

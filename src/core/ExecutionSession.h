@@ -41,7 +41,9 @@
  * must outlive (and not be moved while used by) its sessions.
  */
 
+#include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,13 @@ struct FusedBatchResult
     std::vector<ExecutionResult> results;
     sim::FusedWindow fused;
     sim::PerfReport fusedReport;
+};
+
+/** Host wall-clock interval one query of a fused batch ran in. */
+struct QueryHostTime
+{
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point done;
 };
 
 /**
@@ -151,8 +160,9 @@ class ExecutionSession
     runBatch(const std::vector<std::vector<rt::BufferPtr>> &batches);
 
     /**
-     * Serve @p queries as ONE fused multi-query device pass: the
-     * device opens a fused accounting window over the K queries
+     * Serve @p queries as ONE fused multi-query device pass -- the one
+     * place a fused window is opened, folded and aborted: the device
+     * opens a fused accounting window over the K queries
      * (CamDevice::beginFusedWindow) and amortizes the drive/setup
      * attribution across them. Each query still runs in its own query
      * window and outputs are always bit-identical to serial runQuery()
@@ -165,10 +175,17 @@ class ExecutionSession
      * accounting from the per-query reports (no device pass to fuse,
      * so TrueFused changes nothing there). The batch is counted in
      * queriesServed() / aggregateReport() only when every query of it
-     * succeeded.
+     * succeeded; a failure aborts the window and rethrows.
+     *
+     * @p ctxs, when non-empty, holds one tracing context per query
+     * (runQuery()'s @p parent, query by query). @p times, when
+     * non-null, gets one host interval appended per served query --
+     * on failure it holds the served prefix.
      */
     FusedBatchResult
-    runFusedBatch(const std::vector<std::vector<rt::BufferPtr>> &queries);
+    runFusedBatch(std::span<const std::vector<rt::BufferPtr>> queries,
+                  std::span<const support::SpanContext> ctxs = {},
+                  std::vector<QueryHostTime> *times = nullptr);
 
     /**
      * Validate @p args against the kernel signature without serving

@@ -53,13 +53,10 @@ PlanCache::getOrCompile(
         lru_.splice(lru_.begin(), lru_, it->second);
         ++hits_;
         if (trace_) {
-            support::TraceEvent ev;
-            ev.name = "plan-cache-hit";
-            ev.traceId = trace_->newTraceId();
-            ev.spanId = trace_->newSpanId();
-            ev.startUs = trace_->nowUs();
-            ev.durUs = 0.0;
-            trace_->record(ev);
+            // Engine-level event: a trace of its own, no query.
+            support::SpanContext ctx{trace_, trace_->newTraceId()};
+            double now = trace_->nowUs();
+            trace_->record(ctx.span("plan-cache-hit", now, now));
         }
         return it->second->second;
     }
@@ -70,13 +67,8 @@ PlanCache::getOrCompile(
     const double start_us = trace_ ? trace_->nowUs() : 0.0;
     std::shared_ptr<const rt::ExecutionPlan> plan = compile();
     if (trace_) {
-        support::TraceEvent ev;
-        ev.name = "plan-compile";
-        ev.traceId = trace_->newTraceId();
-        ev.spanId = trace_->newSpanId();
-        ev.startUs = start_us;
-        ev.durUs = trace_->nowUs() - start_us;
-        trace_->record(ev);
+        support::SpanContext ctx{trace_, trace_->newTraceId()};
+        trace_->record(ctx.span("plan-compile", start_us, trace_->nowUs()));
     }
     lru_.emplace_front(key, std::move(plan));
     index_[key] = lru_.begin();

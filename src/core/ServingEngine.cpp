@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <thread>
 
 #include "sim/FaultInjector.h"
@@ -94,30 +95,18 @@ ServingEngine::serve(const std::vector<rt::BufferPtr> &args,
     // root span. The async front-end passes its own per-query context
     // (parenting under its dispatch span) and owns the root instead.
     support::SpanContext local;
-    bool own_root = false;
     if (!ctx && trace_) {
-        local.collector = trace_;
-        local.traceId = traceId_;
-        local.queryId = trace_->newQueryId();
-        local.parentSpanId = trace_->newSpanId(); // becomes the root id
+        local = support::SpanContext::newRoot(trace_, traceId_);
         ctx = &local;
-        own_root = true;
     }
     Clock::time_point start = Clock::now();
     // Record the root span on every exit (the failed attempts may have
     // recorded execute spans under it; an unresolvable parent would
     // fail c4cam-trace-check on an otherwise complete trace).
     auto record_root = [&](Clock::time_point done) {
-        if (!own_root)
-            return;
-        support::TraceEvent root;
-        root.name = "query";
-        root.traceId = local.traceId;
-        root.queryId = local.queryId;
-        root.spanId = local.parentSpanId;
-        root.startUs = trace_->toUs(start);
-        root.durUs = trace_->toUs(done) - root.startUs;
-        trace_->record(root);
+        if (local.enabled())
+            trace_->record(
+                local.root(trace_->toUs(start), trace_->toUs(done)));
     };
 
     ExecutionResult result;
@@ -137,18 +126,9 @@ ServingEngine::serve(const std::vector<rt::BufferPtr> &args,
                 throw;
             }
             retries_.fetch_add(1, std::memory_order_relaxed);
-            if (ctx && ctx->collector) {
-                support::TraceCollector *col = ctx->collector;
-                double now = col->nowUs();
-                support::TraceEvent retry;
-                retry.name = "retry";
-                retry.traceId = ctx->traceId;
-                retry.queryId = ctx->queryId;
-                retry.spanId = col->newSpanId();
-                retry.parentSpanId = ctx->parentSpanId;
-                retry.startUs = now;
-                retry.durUs = 0.0;
-                col->record(retry);
+            if (ctx && ctx->enabled()) {
+                double now = ctx->collector->nowUs();
+                ctx->collector->record(ctx->span("retry", now, now));
             }
             std::int64_t delay_us = support::backoffDelayUs(
                 retryPolicy_.backoffUs, attempt, retryPolicy_.maxBackoffUs,
@@ -178,35 +158,6 @@ ServingEngine::submit(std::vector<rt::BufferPtr> args)
         [this, args = std::move(args)] { return serve(args); });
 }
 
-void
-ServingEngine::runOnLanes(std::size_t count, int threads,
-                          const std::function<void(std::size_t)> &task)
-{
-    int lanes = threads <= 0 ? numReplicas()
-                             : std::min(threads, numReplicas());
-    lanes = std::min<int>(lanes, static_cast<int>(count));
-    // `lanes` pool tasks pull indices from a shared cursor, so
-    // concurrency is capped at `lanes` while every index runs once.
-    auto cursor = std::make_shared<std::atomic<std::size_t>>(0);
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(lanes));
-    for (int lane = 0; lane < lanes; ++lane) {
-        futures.push_back(pool().submit([&task, cursor, count] {
-            for (;;) {
-                std::size_t idx = cursor->fetch_add(1);
-                if (idx >= count)
-                    return;
-                task(idx);
-            }
-        }));
-    }
-    // get() rethrows the first lane failure after all lanes stopped.
-    for (auto &future : futures)
-        future.wait();
-    for (auto &future : futures)
-        future.get();
-}
-
 std::vector<ExecutionResult>
 ServingEngine::runBatch(
     const std::vector<std::vector<rt::BufferPtr>> &queries, int threads)
@@ -216,10 +167,32 @@ ServingEngine::runBatch(
     for (const auto &args : queries)
         validateQuery(args);
 
+    const std::size_t count = queries.size();
+    int lanes = threads <= 0 ? numReplicas()
+                             : std::min(threads, numReplicas());
+    lanes = std::min<int>(lanes, static_cast<int>(count));
     // Results land in input order (distinct slots, no ordering races).
-    std::vector<ExecutionResult> results(queries.size());
-    runOnLanes(queries.size(), threads,
-               [&](std::size_t i) { results[i] = serve(queries[i]); });
+    // `lanes` pool tasks pull indices from a shared cursor, so
+    // concurrency is capped at `lanes` while every query runs once.
+    std::vector<ExecutionResult> results(count);
+    std::atomic<std::size_t> cursor{0};
+    std::vector<std::future<void>> futures;
+    futures.reserve(static_cast<std::size_t>(lanes));
+    for (int lane = 0; lane < lanes; ++lane) {
+        futures.push_back(pool().submit([&] {
+            for (;;) {
+                std::size_t i = cursor.fetch_add(1);
+                if (i >= count)
+                    return;
+                results[i] = serve(queries[i]);
+            }
+        }));
+    }
+    // get() rethrows the first lane failure after all lanes stopped.
+    for (auto &future : futures)
+        future.wait();
+    for (auto &future : futures)
+        future.get();
     return results;
 }
 
@@ -234,111 +207,61 @@ ServingEngine::serveFusedChunk(
                 << ") out of range for " << queries.size()
                 << " queries");
     const std::size_t n = end - begin;
+    const std::int64_t k = static_cast<std::int64_t>(n);
     // Sync fused serving with engine tracing on: own one root span per
     // query of the chunk (the async front-end passes @p ctxs and owns
     // its roots itself).
-    std::vector<support::SpanContext> local_ctxs;
-    bool own_roots = false;
+    std::vector<support::SpanContext> roots;
     if (!ctxs && trace_) {
-        local_ctxs.reserve(n);
+        roots.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
-            local_ctxs.push_back(support::SpanContext{
-                trace_, traceId_, trace_->newQueryId(),
-                trace_->newSpanId()});
-        ctxs = &local_ctxs;
-        own_roots = true;
+            roots.push_back(support::SpanContext::newRoot(trace_, traceId_));
+        ctxs = &roots;
     }
-    auto record_root = [&](std::size_t j, double start_us, double done_us) {
-        support::TraceEvent root;
-        root.name = "query";
-        root.traceId = local_ctxs[j].traceId;
-        root.queryId = local_ctxs[j].queryId;
-        root.spanId = local_ctxs[j].parentSpanId;
-        root.startUs = start_us;
-        root.durUs = done_us - start_us;
-        root.fusedK = static_cast<std::int64_t>(n);
-        trace_->record(root);
-    };
 
-    FusedBatchResult batch;
-    batch.results.reserve(n);
-    /** Per-query host times: stats and roots are recorded only once
-     *  the whole chunk succeeded. */
-    std::vector<std::pair<Clock::time_point, Clock::time_point>> times;
+    // Stats and roots are recorded from the per-query host times only
+    // once the whole chunk succeeded.
+    std::vector<QueryHostTime> times;
     times.reserve(n);
     Clock::time_point chunk_start = Clock::now();
     ExecutionSession *session = acquireSession();
-    sim::CamDevice *device = session->device(); // null when host-only
+    FusedBatchResult batch;
     try {
-        if (device)
-            device->beginFusedWindow(static_cast<int>(n));
-        for (std::size_t i = begin; i < end; ++i) {
-            Clock::time_point start = Clock::now();
-            batch.results.push_back(session->runQuery(
-                queries[i], ctxs ? &(*ctxs)[i - begin] : nullptr));
-            times.emplace_back(start, Clock::now());
-        }
-        if (device)
-            batch.fused = device->endFusedWindow();
+        batch = session->runFusedBatch(
+            std::span(queries).subspan(begin, n),
+            ctxs ? std::span<const support::SpanContext>(*ctxs)
+                 : std::span<const support::SpanContext>(),
+            &times);
     } catch (...) {
-        // A failed query leaves the partial fused accounting
-        // meaningless; discard it so the replica stays servable.
-        // Nothing was recorded in the serving stats either, so a
-        // caller that retries the queries individually (the async
-        // front-end's fallback) does not double-count the ones that
-        // succeeded before the failure.
-        if (device)
-            device->abortFusedWindow();
+        // The session aborted the fused window and nothing reached the
+        // serving stats, so a caller that retries the queries
+        // individually (the async front-end's fallback) does not
+        // double-count the served prefix.
         releaseSession(session);
-        if (own_roots) {
-            // Queries [0, times.size()] already recorded execute spans
-            // under their root ids (the failed query's on the
-            // session's unwind path); record those roots so the trace
-            // stays parent-resolvable.
+        if (!roots.empty()) {
+            // The served prefix and the failed query already recorded
+            // execute spans under their root ids; record those roots
+            // so the trace stays parent-resolvable.
             double now_us = trace_->nowUs();
             for (std::size_t j = 0; j < times.size(); ++j)
-                record_root(j, trace_->toUs(times[j].first),
-                            trace_->toUs(times[j].second));
+                trace_->record(roots[j].root(trace_->toUs(times[j].start),
+                                             trace_->toUs(times[j].done),
+                                             k));
             if (times.size() < n)
-                record_root(times.size(), trace_->toUs(chunk_start),
-                            now_us);
+                trace_->record(roots[times.size()].root(
+                    trace_->toUs(chunk_start), now_us, k));
         }
         throw;
     }
     releaseSession(session);
     for (std::size_t j = 0; j < n; ++j) {
-        recorder_->record(batch.results[j].perf, times[j].first,
-                          times[j].second);
-        if (own_roots)
-            record_root(j, trace_->toUs(times[j].first),
-                        trace_->toUs(times[j].second));
+        recorder_->record(batch.results[j].perf, times[j].start,
+                          times[j].done);
+        if (!roots.empty())
+            trace_->record(roots[j].root(trace_->toUs(times[j].start),
+                                         trace_->toUs(times[j].done), k));
     }
-
-    if (!device)
-        return synthesizeFusedBatch(std::move(batch.results), false,
-                                    setupReport());
-    batch.fusedReport = batch.fused.toReport(setupReport());
     return batch;
-}
-
-std::vector<FusedBatchResult>
-ServingEngine::runFusedBatch(
-    const std::vector<std::vector<rt::BufferPtr>> &queries, int k,
-    int threads)
-{
-    C4CAM_CHECK(k >= 1, "fused batch width must be >= 1, got " << k);
-    for (const auto &args : queries)
-        validateQuery(args);
-
-    std::size_t n = queries.size();
-    std::size_t width = static_cast<std::size_t>(k);
-    std::vector<FusedBatchResult> results((n + width - 1) / width);
-    runOnLanes(results.size(), threads, [&](std::size_t idx) {
-        std::size_t begin = idx * width;
-        results[idx] = serveFusedChunk(queries, begin,
-                                       std::min(n, begin + width));
-    });
-    return results;
 }
 
 std::int64_t

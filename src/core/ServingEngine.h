@@ -35,7 +35,8 @@
  * with the others, and serves at most one query at a time (the engine
  * hands sessions out from a free-list). The session runs the whole
  * per-query step -- query window, plan replay, report, spans, and the
- * window rollback after a failure -- so the engine only picks a
+ * window rollback after a failure -- and, through runFusedBatch(),
+ * the whole fused-window step for a chunk. The engine only picks a
  * session, retries transient faults, owns root spans and keeps the
  * engine-wide stats (a replica session's own aggregate is not the
  * engine's). Queries must not alias writable buffers across
@@ -46,7 +47,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -119,20 +119,6 @@ class ServingEngine : public QueryBackend
              int threads = 0);
 
     /**
-     * Serve @p queries in fused multi-query passes of width @p k: the
-     * stream is chunked into groups of (up to) k queries, each group
-     * driven through one replica inside one fused device window
-     * (CamDevice::beginFusedWindow). Chunks run concurrently across
-     * replicas, capped by @p threads like runBatch. @return one
-     * FusedBatchResult per chunk, in stream order; per-query results
-     * and reports stay bit-identical to serial serving, and each
-     * chunk's fused totals equal the sum of its query windows.
-     */
-    std::vector<FusedBatchResult>
-    runFusedBatch(const std::vector<std::vector<rt::BufferPtr>> &queries,
-                  int k, int threads = 0);
-
-    /**
      * Validate @p args against the kernel signature without serving
      * (throws CompilerError on mismatch). The async front-end calls
      * this at submission time so malformed queries fail on the
@@ -154,10 +140,13 @@ class ServingEngine : public QueryBackend
     serve(const std::vector<rt::BufferPtr> &args,
           const support::SpanContext *ctx = nullptr) override;
 
-    /** Serve one fused chunk on a replica acquired for the chunk.
-     *  @p ctxs, when non-null, holds one per-query tracing context for
-     *  queries [begin, end). Throws CompilerError, before touching a
-     *  replica, when the range is empty or exceeds @p queries. */
+    /** Serve queries [@p begin, @p end) as one fused window on a
+     *  replica acquired for the chunk (ExecutionSession::runFusedBatch
+     *  drives the window). @p ctxs, when non-null, holds one per-query
+     *  tracing context for the chunk; with engine tracing on and no
+     *  @p ctxs the engine owns one root span per query. Throws
+     *  CompilerError, before touching a replica, when the range is
+     *  empty or exceeds @p queries. */
     FusedBatchResult serveFusedChunk(
         const std::vector<std::vector<rt::BufferPtr>> &queries,
         std::size_t begin, std::size_t end,
@@ -238,12 +227,6 @@ class ServingEngine : public QueryBackend
     ExecutionSession *acquireSession();
     void releaseSession(ExecutionSession *session);
 
-    /** Run @p task(0) .. @p task(count - 1) on up to @p threads pool
-     *  lanes (the runBatch() cap) and rethrow the first failure once
-     *  every lane stopped. */
-    void runOnLanes(std::size_t count, int threads,
-                    const std::function<void(std::size_t)> &task);
-
     /// @name Tracing (off unless enableTracing() installed a collector)
     /// @{
     support::TraceCollector *trace_ = nullptr;
@@ -271,8 +254,8 @@ class ServingEngine : public QueryBackend
      *  setup). */
     std::optional<ServingRecorder> recorder_;
 
-    /** The pool backing submit()/runBatch()/runFusedBatch(), created
-     *  lazily on first use: the async front-end dispatches through
+    /** The pool backing submit()/runBatch(), created lazily on first
+     *  use: the async front-end dispatches through
      *  serve()/serveFusedChunk() on its own threads and must not pay
      *  one parked pool worker per replica for the engine's lifetime.
      *  Declared last: destruction drains in-flight work while the

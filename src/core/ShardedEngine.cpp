@@ -365,9 +365,7 @@ ShardedEngine::recordShardSuccess(std::size_t s)
 
 void
 ShardedEngine::recordShardFailure(std::size_t s,
-                                  support::TraceCollector *col,
-                                  std::uint64_t trace_id,
-                                  std::uint64_t query_id)
+                                  const support::SpanContext &blame)
 {
     bool tripped = false;
     {
@@ -387,20 +385,60 @@ ShardedEngine::recordShardFailure(std::size_t s,
             shard.quarantinedAt = Clock::now();
         }
     }
-    if (tripped && col) {
+    if (tripped && blame.enabled()) {
         // Self-rooted marker: quarantine is an engine-level state
         // transition, not a phase of this query's critical path --
         // queryId names the query whose failure tripped the breaker.
-        support::TraceEvent ev;
-        ev.name = "shard-quarantine";
-        ev.traceId = trace_id;
-        ev.queryId = query_id;
-        ev.spanId = col->newSpanId();
-        ev.parentSpanId = 0;
-        ev.startUs = col->nowUs();
-        ev.durUs = 0.0;
-        col->record(ev);
+        support::SpanContext marker = blame;
+        marker.parentSpanId = 0;
+        double now = blame.collector->nowUs();
+        blame.collector->record(marker.span("shard-quarantine", now, now));
     }
+}
+
+template <typename Result>
+ShardedEngine::Scatter<Result>
+ShardedEngine::scatter(const std::function<Result(std::size_t)> &task,
+                       const support::SpanContext &blame)
+{
+    // Circuit breaker: healthy shards plus due probes; throws
+    // ExecutionError (fail fast) when a quarantined shard is still
+    // cooling down and degraded serving is off.
+    std::vector<std::size_t> active = selectActiveShards();
+    if (active.empty())
+        throw ExecutionError(
+            "every shard is quarantined and still cooling down; "
+            "no shard can answer");
+
+    Scatter<Result> out;
+    out.start = Clock::now();
+    std::vector<std::future<Result>> futures;
+    futures.reserve(active.size());
+    for (std::size_t s : active)
+        futures.push_back(pool_->submit([&task, s] { return task(s); }));
+    // Wait for EVERY shard before harvesting: a failing shard must
+    // not leave siblings running against stack-borrowed arguments.
+    for (auto &future : futures)
+        future.wait();
+    // Harvest with per-shard failure isolation: a shard that failed
+    // (transient retries exhausted, or a permanent fault) counts
+    // against its health; the caller decides what the survivors'
+    // answers are worth.
+    out.results.reserve(active.size());
+    out.shards.reserve(active.size());
+    for (std::size_t i = 0; i < active.size(); ++i) {
+        try {
+            out.results.push_back(futures[i].get());
+            out.shards.push_back(active[i]);
+            recordShardSuccess(active[i]);
+        } catch (...) {
+            recordShardFailure(active[i], blame);
+            if (!out.firstError)
+                out.firstError = std::current_exception();
+        }
+    }
+    out.done = Clock::now();
+    return out;
 }
 
 ExecutionResult
@@ -414,123 +452,51 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
     validateQuery(args);
 
     support::SpanContext local;
-    bool own_root = false;
     if (!ctx && trace_) {
-        local.collector = trace_;
-        local.traceId = traceId_;
-        local.queryId = trace_->newQueryId();
-        local.parentSpanId = trace_->newSpanId(); // becomes the root id
+        local = support::SpanContext::newRoot(trace_, traceId_);
         ctx = &local;
-        own_root = true;
     }
-    support::TraceCollector *col =
-        ctx && ctx->collector ? ctx->collector : nullptr;
-    std::uint64_t trace_id = col ? ctx->traceId : 0;
-    std::uint64_t query_id = col ? ctx->queryId : 0;
-    std::uint64_t scatter_span = col ? col->newSpanId() : 0;
+    const support::SpanContext query = ctx ? *ctx : support::SpanContext{};
+    support::TraceCollector *col = query.collector;
+    // Shard execute/merge spans parent under the scatter span, tying
+    // each shard's interval to the fan-out.
+    support::SpanContext shard_ctx = query;
+    if (col)
+        shard_ctx.parentSpanId = col->newSpanId();
 
-    // Circuit breaker: healthy shards plus due probes; throws
-    // ExecutionError (fail fast) when a quarantined shard is still
-    // cooling down and degraded serving is off.
-    std::vector<std::size_t> active = selectActiveShards();
-    if (active.empty())
-        throw ExecutionError(
-            "every shard is quarantined and still cooling down; "
-            "no shard can answer this query");
+    Scatter<ExecutionResult> fanout = scatter<ExecutionResult>(
+        [&](std::size_t s) {
+            return shards_[s].engine->serve(shardArgs(args, s),
+                                            col ? &shard_ctx : nullptr);
+        },
+        query);
 
     // The scatter + shard-merge pair (and the root, when owned) is
     // recorded on every exit: shard-level spans already landed under
     // the scatter span even when a shard failed, and an unresolvable
-    // parent would fail c4cam-trace-check on a complete trace.
-    auto record_spans = [&](Clock::time_point t0, Clock::time_point t1,
-                            Clock::time_point t2) {
+    // parent would fail c4cam-trace-check on a complete trace. Shared
+    // time points telescope exactly: scatter [t0, t1] and shard-merge
+    // [t1, t2] tile the root's [t0, t2] bitwise.
+    auto record_spans = [&](Clock::time_point t2) {
         if (!col)
             return;
-        // Shared time points telescope exactly: scatter [t0, t1] and
-        // shard-merge [t1, t2] tile the root's [t0, t2] bitwise.
-        double u0 = col->toUs(t0);
-        double u1 = col->toUs(t1);
+        double u0 = col->toUs(fanout.start);
+        double u1 = col->toUs(fanout.done);
         double u2 = col->toUs(t2);
-        support::TraceEvent scatter;
-        scatter.name = "scatter";
-        scatter.traceId = trace_id;
-        scatter.queryId = query_id;
-        scatter.spanId = scatter_span;
-        scatter.parentSpanId = ctx->parentSpanId;
-        scatter.startUs = u0;
-        scatter.durUs = u1 - u0;
-        col->record(scatter);
-
-        support::TraceEvent shard_merge;
-        shard_merge.name = "shard-merge";
-        shard_merge.traceId = trace_id;
-        shard_merge.queryId = query_id;
-        shard_merge.spanId = col->newSpanId();
-        shard_merge.parentSpanId = ctx->parentSpanId;
-        shard_merge.startUs = u1;
-        shard_merge.durUs = u2 - u1;
-        col->record(shard_merge);
-
-        if (own_root) {
-            support::TraceEvent root;
-            root.name = "query";
-            root.traceId = trace_id;
-            root.queryId = query_id;
-            root.spanId = ctx->parentSpanId;
-            root.startUs = u0;
-            root.durUs = u2 - u0;
-            col->record(root);
-        }
+        col->record(query.span("scatter", u0, u1, shard_ctx.parentSpanId));
+        col->record(query.span("shard-merge", u1, u2));
+        if (local.enabled())
+            col->record(local.root(u0, u2));
     };
 
-    Clock::time_point t0 = Clock::now();
-    std::vector<std::future<ExecutionResult>> futures;
-    futures.reserve(active.size());
-    for (std::size_t s : active) {
-        futures.push_back(pool_->submit(
-            [this, s, &args, col, trace_id, query_id, scatter_span] {
-                // Shard execute/merge spans parent under the scatter
-                // span, tying each shard's interval to the fan-out.
-                support::SpanContext sctx{col, trace_id, query_id,
-                                          scatter_span};
-                return shards_[s].engine->serve(shardArgs(args, s),
-                                                col ? &sctx : nullptr);
-            }));
-    }
-    // Wait for EVERY shard before harvesting: a failing shard must
-    // not leave siblings running against stack-borrowed args.
-    for (auto &future : futures)
-        future.wait();
-    // Harvest with per-shard failure isolation: a shard that failed
-    // (transient retries exhausted, or a permanent fault) counts
-    // against its health; the survivors can still answer when
-    // degraded serving is on.
-    std::vector<ExecutionResult> shard_results;
-    std::vector<std::size_t> surviving;
-    shard_results.reserve(futures.size());
-    surviving.reserve(futures.size());
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            shard_results.push_back(futures[i].get());
-            surviving.push_back(active[i]);
-            recordShardSuccess(active[i]);
-        } catch (...) {
-            recordShardFailure(active[i], col, trace_id, query_id);
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    Clock::time_point t1 = Clock::now();
-
-    if (surviving.empty() || (first_error && !allowDegraded_)) {
-        record_spans(t0, t1, t1);
-        std::rethrow_exception(first_error);
+    if (fanout.results.empty() || (fanout.firstError && !allowDegraded_)) {
+        record_spans(fanout.done);
+        std::rethrow_exception(fanout.firstError);
     }
 
-    ExecutionResult merged = mergeShardResults(shard_results, surviving);
+    ExecutionResult merged = mergeShardResults(fanout.results, fanout.shards);
     Clock::time_point t2 = Clock::now();
-    recorder_->record(merged.perf, t0, t2);
+    recorder_->record(merged.perf, fanout.start, t2);
     if (merged.partial) {
         {
             std::lock_guard<std::mutex> lock(healthMutex_);
@@ -539,18 +505,11 @@ ShardedEngine::serve(const std::vector<rt::BufferPtr> &args,
         if (col) {
             // Zero-duration marker: this query was answered from
             // surviving shards only (coverage < 1).
-            support::TraceEvent degraded;
-            degraded.name = "degraded";
-            degraded.traceId = trace_id;
-            degraded.queryId = query_id;
-            degraded.spanId = col->newSpanId();
-            degraded.parentSpanId = ctx->parentSpanId;
-            degraded.startUs = col->toUs(t1);
-            degraded.durUs = 0.0;
-            col->record(degraded);
+            double u1 = col->toUs(fanout.done);
+            col->record(query.span("degraded", u1, u1));
         }
     }
-    record_spans(t0, t1, t2);
+    record_spans(t2);
     return merged;
 }
 
@@ -564,87 +523,49 @@ ShardedEngine::serveFusedChunk(
                 "fused chunk [" << begin << ", " << end
                 << ") out of range for " << queries.size()
                 << " queries");
-    std::size_t n = end - begin;
+    const std::size_t n = end - begin;
+    const std::int64_t k = static_cast<std::int64_t>(n);
     // Same up-front validation as serve(): every query of the chunk
     // must match the unsharded signature before any shard sees it.
     for (std::size_t i = 0; i < n; ++i)
         validateQuery(queries[begin + i]);
 
-    std::vector<support::SpanContext> local_ctxs;
-    bool own_roots = false;
+    std::vector<support::SpanContext> roots;
     if (!ctxs && trace_) {
-        local_ctxs.reserve(n);
+        roots.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
-            local_ctxs.push_back(support::SpanContext{
-                trace_, traceId_, trace_->newQueryId(),
-                trace_->newSpanId()});
-        ctxs = &local_ctxs;
-        own_roots = true;
+            roots.push_back(support::SpanContext::newRoot(trace_, traceId_));
+        ctxs = &roots;
     }
     support::TraceCollector *col =
         ctxs && !ctxs->empty() ? (*ctxs)[0].collector : nullptr;
-    std::vector<std::uint64_t> scatter_spans(n, 0);
-    if (col)
-        for (std::size_t i = 0; i < n; ++i)
-            scatter_spans[i] = col->newSpanId();
+    // Per-query shard contexts: each query's shard spans parent under
+    // that query's scatter span.
+    std::vector<support::SpanContext> shard_ctxs;
+    if (col) {
+        shard_ctxs = *ctxs;
+        for (support::SpanContext &c : shard_ctxs)
+            c.parentSpanId = col->newSpanId();
+    }
 
-    // Same circuit-breaker selection as serve(): skip quarantined
-    // shards (degraded) or fail fast, probe after cooldown.
-    std::vector<std::size_t> active = selectActiveShards();
-    if (active.empty())
-        throw ExecutionError(
-            "every shard is quarantined and still cooling down; "
-            "no shard can answer this fused chunk");
-
-    Clock::time_point t0 = Clock::now();
-    std::vector<std::future<FusedBatchResult>> futures;
-    futures.reserve(active.size());
-    for (std::size_t s : active) {
-        futures.push_back(pool_->submit([this, s, &queries, begin, n,
-                                         ctxs, col, &scatter_spans] {
-            // Each shard folds the chunk into ONE fused device window
-            // of its own; per-query spans parent under that query's
-            // scatter span.
+    // Each shard folds the chunk into ONE fused device window of its
+    // own.
+    Scatter<FusedBatchResult> fanout = scatter<FusedBatchResult>(
+        [&](std::size_t s) {
             std::vector<std::vector<rt::BufferPtr>> shard_queries;
             shard_queries.reserve(n);
             for (std::size_t i = 0; i < n; ++i)
-                shard_queries.push_back(
-                    shardArgs(queries[begin + i], s));
-            std::vector<support::SpanContext> shard_ctxs;
-            if (col) {
-                shard_ctxs.reserve(n);
-                for (std::size_t i = 0; i < n; ++i)
-                    shard_ctxs.push_back(support::SpanContext{
-                        col, (*ctxs)[i].traceId, (*ctxs)[i].queryId,
-                        scatter_spans[i]});
-            }
+                shard_queries.push_back(shardArgs(queries[begin + i], s));
             return shards_[s].engine->serveFusedChunk(
                 shard_queries, 0, n, col ? &shard_ctxs : nullptr);
-        }));
-    }
-    for (auto &future : futures)
-        future.wait();
-    // Harvest with health accounting. Unlike serve(), ANY shard
-    // failure fails the whole chunk (the QueryBackend contract:
-    // nothing half-recorded; the async front-end falls back to
-    // per-query serves, which handle retries and degraded merges).
-    std::vector<FusedBatchResult> shard_batches;
-    shard_batches.reserve(futures.size());
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        try {
-            shard_batches.push_back(futures[i].get());
-            recordShardSuccess(active[i]);
-        } catch (...) {
-            recordShardFailure(active[i], col,
-                               col ? (*ctxs)[0].traceId : 0,
-                               col ? (*ctxs)[0].queryId : 0);
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    Clock::time_point t1 = Clock::now();
-    if (first_error) {
+        },
+        col ? (*ctxs)[0] : support::SpanContext{});
+
+    if (fanout.firstError) {
+        // Unlike serve(), ANY shard failure fails the whole chunk (the
+        // QueryBackend contract: nothing half-recorded; the async
+        // front-end falls back to per-query serves, which handle
+        // retries and degraded merges).
         if (col) {
             // Sibling shards already recorded per-query spans under
             // the scatter ids; record those ids under a non-"scatter"
@@ -652,94 +573,55 @@ ShardedEngine::serveFusedChunk(
             // claiming a scatter/merge pair this aborted chunk never
             // completed (a later per-query retry records the real
             // pair under the same parent).
-            double u0 = col->toUs(t0);
-            double u1 = col->toUs(t1);
+            double u0 = col->toUs(fanout.start);
+            double u1 = col->toUs(fanout.done);
             for (std::size_t i = 0; i < n; ++i) {
-                support::TraceEvent abort_span;
-                abort_span.name = "scatter-abort";
-                abort_span.traceId = (*ctxs)[i].traceId;
-                abort_span.queryId = (*ctxs)[i].queryId;
-                abort_span.spanId = scatter_spans[i];
-                abort_span.parentSpanId = (*ctxs)[i].parentSpanId;
-                abort_span.startUs = u0;
-                abort_span.durUs = u1 - u0;
-                abort_span.fusedK = static_cast<std::int64_t>(n);
-                col->record(abort_span);
-                if (own_roots) {
-                    support::TraceEvent root;
-                    root.name = "query";
-                    root.traceId = (*ctxs)[i].traceId;
-                    root.queryId = (*ctxs)[i].queryId;
-                    root.spanId = (*ctxs)[i].parentSpanId;
-                    root.startUs = u0;
-                    root.durUs = u1 - u0;
-                    root.fusedK = static_cast<std::int64_t>(n);
-                    col->record(root);
-                }
+                col->record((*ctxs)[i].span("scatter-abort", u0, u1,
+                                            shard_ctxs[i].parentSpanId, k));
+                if (!roots.empty())
+                    col->record(roots[i].root(u0, u1, k));
             }
         }
-        std::rethrow_exception(first_error);
+        std::rethrow_exception(fanout.firstError);
     }
 
     std::vector<ExecutionResult> merged;
     merged.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         std::vector<ExecutionResult> per_shard;
-        per_shard.reserve(shard_batches.size());
-        for (const FusedBatchResult &sb : shard_batches)
+        per_shard.reserve(fanout.results.size());
+        for (const FusedBatchResult &sb : fanout.results)
             per_shard.push_back(sb.results[i]);
-        merged.push_back(mergeShardResults(per_shard, active));
-    }
-    if (active.size() < shards_.size()) {
-        // The whole chunk was answered without the quarantined
-        // shards: every query of it is a degraded serve.
-        std::lock_guard<std::mutex> lock(healthMutex_);
-        degradedServes_ += static_cast<std::int64_t>(n);
+        merged.push_back(mergeShardResults(per_shard, fanout.shards));
     }
     FusedBatchResult batch =
         synthesizeFusedBatch(std::move(merged), persistent_, setupReport_);
     Clock::time_point t2 = Clock::now();
 
     for (const ExecutionResult &r : batch.results)
-        recorder_->record(r.perf, t0, t2);
+        recorder_->record(r.perf, fanout.start, t2);
+    // The whole chunk was answered without the quarantined shards:
+    // every query of it is a degraded serve, marked like serve() marks
+    // one.
+    const bool degraded = fanout.shards.size() < shards_.size();
+    if (degraded) {
+        std::lock_guard<std::mutex> lock(healthMutex_);
+        degradedServes_ += k;
+    }
 
     if (col) {
-        double u0 = col->toUs(t0);
-        double u1 = col->toUs(t1);
+        double u0 = col->toUs(fanout.start);
+        double u1 = col->toUs(fanout.done);
         double u2 = col->toUs(t2);
         for (std::size_t i = 0; i < n; ++i) {
-            support::TraceEvent scatter;
-            scatter.name = "scatter";
-            scatter.traceId = (*ctxs)[i].traceId;
-            scatter.queryId = (*ctxs)[i].queryId;
-            scatter.spanId = scatter_spans[i];
-            scatter.parentSpanId = (*ctxs)[i].parentSpanId;
-            scatter.startUs = u0;
-            scatter.durUs = u1 - u0;
-            scatter.fusedK = static_cast<std::int64_t>(n);
-            col->record(scatter);
-
-            support::TraceEvent shard_merge;
-            shard_merge.name = "shard-merge";
-            shard_merge.traceId = (*ctxs)[i].traceId;
-            shard_merge.queryId = (*ctxs)[i].queryId;
-            shard_merge.spanId = col->newSpanId();
-            shard_merge.parentSpanId = (*ctxs)[i].parentSpanId;
-            shard_merge.startUs = u1;
-            shard_merge.durUs = u2 - u1;
-            col->record(shard_merge);
-
-            if (own_roots) {
-                support::TraceEvent root;
-                root.name = "query";
-                root.traceId = (*ctxs)[i].traceId;
-                root.queryId = (*ctxs)[i].queryId;
-                root.spanId = (*ctxs)[i].parentSpanId;
-                root.startUs = u0;
-                root.durUs = u2 - u0;
-                root.fusedK = static_cast<std::int64_t>(n);
-                col->record(root);
-            }
+            const support::SpanContext &q = (*ctxs)[i];
+            if (degraded)
+                col->record(q.span("degraded", u1, u1));
+            col->record(q.span("scatter", u0, u1,
+                               shard_ctxs[i].parentSpanId, k));
+            col->record(q.span("shard-merge", u1, u2, 0, k));
+            if (!roots.empty())
+                col->record(roots[i].root(u0, u2, k));
         }
     }
     return batch;

@@ -47,7 +47,10 @@
  * shards the same way it serves through one replica pool.
  */
 
+#include <chrono>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -256,11 +259,36 @@ class ShardedEngine : public QueryBackend
      * Health bookkeeping after a shard failed: counts toward
      * quarantine, and on a healthy->quarantined transition bumps the
      * counter and records a self-rooted "shard-quarantine" marker
-     * span (when @p col is tracing).
+     * naming @p blame's query (when @p blame is tracing).
      */
-    void recordShardFailure(std::size_t s, support::TraceCollector *col,
-                            std::uint64_t trace_id,
-                            std::uint64_t query_id);
+    void recordShardFailure(std::size_t s,
+                            const support::SpanContext &blame);
+
+    /** What one scatter-and-harvest step hands back. */
+    template <typename Result>
+    struct Scatter
+    {
+        /** Answers of the shards that succeeded, in shard order. */
+        std::vector<Result> results;
+        /** The shard each answer came from. */
+        std::vector<std::size_t> shards;
+        /** First shard failure (null when every shard answered). */
+        std::exception_ptr firstError;
+        /** Host interval from the fan-out to the end of the harvest. */
+        std::chrono::steady_clock::time_point start;
+        std::chrono::steady_clock::time_point done;
+    };
+
+    /**
+     * The scatter step serve() and serveFusedChunk() share: select
+     * the active shards (throws ExecutionError when none can answer),
+     * run @p task(s) for each on the scatter pool, wait for all of
+     * them, then harvest per shard with recordShardSuccess /
+     * recordShardFailure. Each caller applies its own failure rule.
+     */
+    template <typename Result>
+    Scatter<Result> scatter(const std::function<Result(std::size_t)> &task,
+                            const support::SpanContext &blame);
 
     /** @p args with the stored parameter swapped for shard @p s's
      *  programmed slice view. */

@@ -880,17 +880,9 @@ ExecutionPlan::run(PlanFrame &frame, sim::CamDevice *device,
         }
         ~ReplaySpan()
         {
-            if (!ctx.enabled())
-                return;
-            support::TraceEvent ev;
-            ev.name = "plan-replay";
-            ev.traceId = ctx.traceId;
-            ev.queryId = ctx.queryId;
-            ev.spanId = ctx.collector->newSpanId();
-            ev.parentSpanId = ctx.parentSpanId;
-            ev.startUs = startUs;
-            ev.durUs = ctx.collector->nowUs() - startUs;
-            ctx.collector->record(ev);
+            if (ctx.enabled())
+                ctx.collector->record(ctx.span("plan-replay", startUs,
+                                               ctx.collector->nowUs()));
         }
     } replaySpan(frame.trace);
 

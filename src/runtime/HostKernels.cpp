@@ -40,23 +40,6 @@ matmul(const BufferPtr &a, const BufferPtr &b)
     return out;
 }
 
-namespace {
-
-/** Row-major delinearization of @p i into @p index for @p shape. */
-void
-delinearize(std::int64_t i, const std::vector<std::int64_t> &shape,
-            std::vector<std::int64_t> &index)
-{
-    std::int64_t rem = i;
-    for (int d = static_cast<int>(shape.size()) - 1; d >= 0; --d) {
-        index[static_cast<std::size_t>(d)] =
-            rem % shape[static_cast<std::size_t>(d)];
-        rem /= shape[static_cast<std::size_t>(d)];
-    }
-}
-
-} // namespace
-
 BufferPtr
 subBroadcast(const BufferPtr &a, const BufferPtr &b)
 {
@@ -64,12 +47,9 @@ subBroadcast(const BufferPtr &a, const BufferPtr &b)
         auto out = Buffer::alloc(DType::F32, a->shape());
         std::vector<double> av = a->toVector();
         std::vector<double> bv = b->toVector();
-        std::vector<std::int64_t> index(a->rank(), 0);
-        for (std::int64_t i = 0; i < a->numElements(); ++i) {
-            delinearize(i, a->shape(), index);
-            out->set(index, av[static_cast<std::size_t>(i)] -
-                                bv[static_cast<std::size_t>(i)]);
-        }
+        for (std::size_t i = 0; i < av.size(); ++i)
+            av[i] -= bv[i];
+        out->copyFromFlat(av);
         return out;
     }
     // KNN broadcast: (QxD) - (NxD) -> QxNxD.
@@ -95,12 +75,9 @@ elementwiseDiv(const BufferPtr &a, const BufferPtr &b)
     auto out = Buffer::alloc(DType::F32, a->shape());
     std::vector<double> av = a->toVector();
     std::vector<double> bv = b->toVector();
-    std::vector<std::int64_t> index(a->rank(), 0);
-    for (std::int64_t i = 0; i < a->numElements(); ++i) {
-        delinearize(i, a->shape(), index);
-        out->set(index, av[static_cast<std::size_t>(i)] /
-                            bv[static_cast<std::size_t>(i)]);
-    }
+    for (std::size_t i = 0; i < av.size(); ++i)
+        av[i] /= bv[i];
+    out->copyFromFlat(av);
     return out;
 }
 
@@ -112,12 +89,9 @@ elementwiseAdd(const BufferPtr &a, const BufferPtr &b)
     auto out = Buffer::alloc(DType::F32, a->shape());
     std::vector<double> av = a->toVector();
     std::vector<double> bv = b->toVector();
-    std::vector<std::int64_t> index(out->rank(), 0);
-    for (std::int64_t i = 0; i < out->numElements(); ++i) {
-        delinearize(i, out->shape(), index);
-        out->set(index, av[static_cast<std::size_t>(i)] +
-                            bv[static_cast<std::size_t>(i)]);
-    }
+    for (std::size_t i = 0; i < av.size(); ++i)
+        av[i] += bv[i];
+    out->copyFromFlat(av);
     return out;
 }
 
@@ -149,17 +123,17 @@ normLastDim(const BufferPtr &in, int p)
     std::int64_t inner = in->shape().back();
     std::int64_t outer = in->numElements() / std::max<std::int64_t>(inner, 1);
     std::vector<double> flat = in->toVector();
-    std::vector<std::int64_t> index(out->rank(), 0);
+    std::vector<double> norms(static_cast<std::size_t>(out->numElements()),
+                              0.0);
     for (std::int64_t o = 0; o < outer; ++o) {
         double acc = 0.0;
         for (std::int64_t i = 0; i < inner; ++i) {
             double v = flat[static_cast<std::size_t>(o * inner + i)];
             acc += p == 1 ? std::abs(v) : v * v;
         }
-        double result = p == 1 ? acc : std::sqrt(acc);
-        delinearize(o, out->shape(), index);
-        out->set(index, result);
+        norms[static_cast<std::size_t>(o)] = p == 1 ? acc : std::sqrt(acc);
     }
+    out->copyFromFlat(norms);
     return out;
 }
 

@@ -23,11 +23,14 @@
  *    paths (dispatcher loops) record into a local vector and pay one
  *    collector mutex acquisition per batch, not per span.
  *  - SpanContext: the (collector, trace, query, parent-span) tuple
- *    threaded through the layers. A default-constructed context has a
- *    null collector; every tracing call site checks `enabled()` first
- *    and the check inlines to one predictable branch, so tracing is
- *    zero-overhead when off -- no engine option flips behavior at a
- *    distance, absence of a collector IS the off switch.
+ *    threaded through the layers, and the one place spans are built:
+ *    newRoot() opens a query, span() fills one interval under the
+ *    context's parent and root() closes the query. A
+ *    default-constructed context has a null collector; every tracing
+ *    call site checks `enabled()` first and the check inlines to one
+ *    predictable branch, so tracing is zero-overhead when off -- no
+ *    engine option flips behavior at a distance, absence of a
+ *    collector IS the off switch.
  *
  * Export: toJson() renders one document that is simultaneously a
  * Chrome `trace_event` file (a top-level "traceEvents" array of "X"
@@ -197,6 +200,50 @@ struct SpanContext
 
     /** The zero-overhead-off check every tracing site makes first. */
     bool enabled() const { return collector != nullptr; }
+
+    /**
+     * A fresh per-query root context on @p col: a new query id, and a
+     * new span id that the query's root span will carry (every span
+     * made from this context parents under it).
+     */
+    static SpanContext
+    newRoot(TraceCollector *col, std::uint64_t trace_id)
+    {
+        std::uint64_t query_id = col->newQueryId();
+        return SpanContext{col, trace_id, query_id, col->newSpanId()};
+    }
+
+    /**
+     * The span @p name over [@p start_us, @p end_us) under
+     * parentSpanId. @p span_id 0 allocates a fresh id from the
+     * collector (which must then be set); pass a preset id when
+     * children already parent under it.
+     */
+    TraceEvent
+    span(const char *name, double start_us, double end_us,
+         std::uint64_t span_id = 0, std::int64_t fused_k = 0) const
+    {
+        TraceEvent ev;
+        ev.name = name;
+        ev.traceId = traceId;
+        ev.queryId = queryId;
+        ev.spanId = span_id != 0 ? span_id : collector->newSpanId();
+        ev.parentSpanId = parentSpanId;
+        ev.startUs = start_us;
+        ev.durUs = end_us - start_us;
+        ev.fusedK = fused_k;
+        return ev;
+    }
+
+    /** The "query" root span of a newRoot() context over
+     *  [@p start_us, @p end_us). */
+    TraceEvent
+    root(double start_us, double end_us, std::int64_t fused_k = 0) const
+    {
+        SpanContext top = *this;
+        top.parentSpanId = 0;
+        return top.span("query", start_us, end_us, parentSpanId, fused_k);
+    }
 };
 
 /**

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <future>
+
 #include "apps/Workloads.h"
 #include "core/Compiler.h"
 #include "core/ExecutionSession.h"
@@ -179,10 +182,12 @@ TEST(FusedBatch, EmptyBatchRejected)
     EXPECT_THROW(session.runFusedBatch({}), CompilerError);
     // A malformed query fails argument validation before the fused
     // window opens; the session stays usable afterwards.
-    EXPECT_THROW(session.runFusedBatch({{stored_buf, stored_buf}}),
-                 CompilerError);
-    core::FusedBatchResult ok = session.runFusedBatch(
-        {{rt::Buffer::fromMatrix({stored[2]}), stored_buf}});
+    const std::vector<std::vector<rt::BufferPtr>> malformed{
+        {stored_buf, stored_buf}};
+    EXPECT_THROW(session.runFusedBatch(malformed), CompilerError);
+    const std::vector<std::vector<rt::BufferPtr>> valid{
+        {rt::Buffer::fromMatrix({stored[2]}), stored_buf}};
+    core::FusedBatchResult ok = session.runFusedBatch(valid);
     EXPECT_EQ(ok.results[0].outputs[1].asBuffer()->atInt({0, 0}), 2);
 }
 
@@ -281,11 +286,19 @@ TEST(FusedBatch, EngineChunksStreamAndMatchesSerial)
     std::vector<core::ExecutionResult> serial_results =
         serial.runBatch(queries);
 
+    // 10 queries at width 4 -> chunks of 4, 4, 2 in stream order,
+    // served concurrently across the two replicas.
     auto engine = kernel.createServingEngine(queries[0], 2);
-    std::vector<core::FusedBatchResult> chunks =
-        engine->runFusedBatch(queries, 4);
+    std::vector<std::future<core::FusedBatchResult>> pending;
+    for (std::size_t begin = 0; begin < queries.size(); begin += 4)
+        pending.push_back(std::async(std::launch::async, [&, begin] {
+            return engine->serveFusedChunk(
+                queries, begin, std::min(queries.size(), begin + 4));
+        }));
+    std::vector<core::FusedBatchResult> chunks;
+    for (auto &chunk : pending)
+        chunks.push_back(chunk.get());
 
-    // 10 queries at width 4 -> chunks of 4, 4, 2 in stream order.
     ASSERT_EQ(chunks.size(), 3u);
     EXPECT_EQ(chunks[0].fused.k, 4);
     EXPECT_EQ(chunks[1].fused.k, 4);
@@ -428,7 +441,8 @@ TEST(FusedBatch, TrueFusedAbortClearsPerPassDriveState)
 
     auto engine = fused_kernel.createServingEngine(queries[0], 1);
     engine->attachFaultInjector(injector);
-    EXPECT_THROW(engine->runFusedBatch(queries, 4), sim::TransientFault);
+    EXPECT_THROW(engine->serveFusedChunk(queries, 0, 4),
+                 sim::TransientFault);
     EXPECT_EQ(injector->stats().transientsFired, 1);
     EXPECT_EQ(engine->queriesServed(), 0);
 
@@ -436,10 +450,8 @@ TEST(FusedBatch, TrueFusedAbortClearsPerPassDriveState)
     // clean per-pass accounting: the first query pays full drive again
     // (bit-identical to serial), later queries amortize it.
     engine->attachFaultInjector(nullptr);
-    std::vector<core::FusedBatchResult> chunks =
-        engine->runFusedBatch(queries, 4);
-    ASSERT_EQ(chunks.size(), 1u);
-    const core::FusedBatchResult &chunk = chunks[0];
+    const core::FusedBatchResult chunk =
+        engine->serveFusedChunk(queries, 0, 4);
     ASSERT_EQ(chunk.results.size(), 4u);
     EXPECT_EQ(chunk.results[0].perf.queryEnergyPj,
               serial_results[0].perf.queryEnergyPj);
@@ -460,8 +472,13 @@ TEST(FusedBatch, EngineRejectsBadWidth)
     auto stored = randomRows(8, 64, 67);
     core::CompiledKernel kernel = compileDotKernel(8, 64);
     auto stored_buf = rt::Buffer::fromMatrix(stored);
-    auto engine = kernel.createServingEngine(
-        {rt::Buffer::fromMatrix({stored[0]}), stored_buf}, 1);
-    EXPECT_THROW(engine->runFusedBatch({}, 0), CompilerError);
-    EXPECT_EQ(engine->runFusedBatch({}, 4).size(), 0u);
+    const std::vector<std::vector<rt::BufferPtr>> queries{
+        {rt::Buffer::fromMatrix({stored[0]}), stored_buf}};
+    auto engine = kernel.createServingEngine(queries[0], 1);
+    // A chunk must hold at least one query of the stream.
+    EXPECT_THROW(engine->serveFusedChunk({}, 0, 0), CompilerError);
+    EXPECT_THROW(engine->serveFusedChunk(queries, 1, 1), CompilerError);
+    EXPECT_THROW(engine->serveFusedChunk(queries, 0, 2), CompilerError);
+    EXPECT_EQ(engine->queriesServed(), 0);
+    EXPECT_EQ(engine->serveFusedChunk(queries, 0, 1).fused.k, 1);
 }

@@ -384,7 +384,7 @@ servingTraceShape(core::CompiledKernel &kernel,
     engine->enableTracing(&collector);
     for (std::size_t i = 0; i < 3; ++i)
         engine->serve(queries[i]);
-    engine->runFusedBatch(queries, 3);
+    engine->serveFusedChunk(queries, 0, 3);
 
     // Failure paths on fresh engines: every device fails its first
     // search (serve) or the first search of the chunk's second query.
@@ -401,7 +401,7 @@ servingTraceShape(core::CompiledKernel &kernel,
         if (at_search == 1)
             EXPECT_THROW(failing->serve(queries[0]), sim::TransientFault);
         else
-            EXPECT_THROW(failing->runFusedBatch(queries, 3),
+            EXPECT_THROW(failing->serveFusedChunk(queries, 0, 3),
                          sim::TransientFault);
         EXPECT_EQ(failing->queriesServed(), 0);
     }

@@ -403,6 +403,7 @@ expectFusedQueryTiles(const FusedQuerySpans &q, std::int64_t k)
     EXPECT_EQ(root.startUs + root.durUs, merge.startUs + merge.durUs);
     EXPECT_EQ(root.fusedK, k);
     EXPECT_EQ(scatter.fusedK, k);
+    EXPECT_EQ(merge.fusedK, k);
 }
 
 } // namespace
@@ -461,6 +462,52 @@ TEST(ShardedEngine, FusedChunkSpansTileEachRootAndMarkAborts)
     }
     EXPECT_EQ(aborted, n);
     EXPECT_EQ(served, n);
+
+    // A quarantined shard: shard 1's device dies at its first search,
+    // which aborts the first chunk and trips the breaker; the next
+    // chunk is answered by shard 0 alone, and each of its queries
+    // carries the zero-duration "degraded" marker serve() records for
+    // a partial answer.
+    sim::FaultSpec kill;
+    sim::FaultRule dead;
+    dead.kind = sim::FaultRule::Kind::Kill;
+    dead.device = 1;
+    kill.rules.push_back(dead);
+    sharding.faultInjector = std::make_shared<sim::FaultInjector>(kill);
+    sharding.allowDegraded = true;
+    sharding.quarantineThreshold = 1;
+    sharding.cooldownMs = 3600 * 1000;
+    core::ShardedEngine survivor(w.options, w.source, w.batches[0],
+                                 sharding);
+    support::TraceCollector degraded_trace;
+    survivor.enableTracing(&degraded_trace);
+    EXPECT_THROW(survivor.serveFusedChunk(w.batches, 0, n), ExecutionError);
+    EXPECT_TRUE(survivor.shardHealth(1).quarantined);
+    core::FusedBatchResult partial =
+        survivor.serveFusedChunk(w.batches, 0, n);
+    for (const core::ExecutionResult &r : partial.results)
+        EXPECT_TRUE(r.partial);
+    EXPECT_EQ(survivor.stats().degradedServes, k);
+
+    const std::vector<support::TraceEvent> degraded_events =
+        degraded_trace.snapshot();
+    queries = querySpans(degraded_events);
+    ASSERT_EQ(queries.size(), 2 * n);
+    std::size_t marked = 0;
+    for (const FusedQuerySpans &q : queries) {
+        if (!q.named("scatter-abort").empty()) {
+            EXPECT_TRUE(q.named("degraded").empty());
+            continue;
+        }
+        expectFusedQueryTiles(q, k);
+        ASSERT_EQ(q.named("degraded").size(), 1u);
+        const support::TraceEvent &marker = *q.named("degraded")[0];
+        const support::TraceEvent &scatter = *q.named("scatter")[0];
+        EXPECT_EQ(marker.durUs, 0.0);
+        EXPECT_EQ(marker.startUs, scatter.startUs + scatter.durUs);
+        ++marked;
+    }
+    EXPECT_EQ(marked, n);
 }
 
 TEST(ShardedEngine, AggregatedReportsFollowTheMaxSumRule)

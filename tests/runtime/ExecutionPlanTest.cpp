@@ -268,7 +268,7 @@ TEST(ExecutionPlan, SessionDifferentialTreeWalkPlanAndFusedK1)
             core::ExecutionResult via_plan = plan_session.runQuery(args);
             core::ExecutionResult via_walk = walk_session.runQuery(args);
             core::FusedBatchResult fused =
-                fused_session.runFusedBatch({args});
+                fused_session.runFusedBatch({&args, 1});
 
             SCOPED_TRACE(q);
             expectOutputsEqual(via_plan.outputs, via_walk.outputs);
