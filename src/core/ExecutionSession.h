@@ -37,6 +37,12 @@
  *    and sets queriesServed, so avgQueryLatencyNs() /
  *    amortizedLatencyNs() describe the batch.
  *
+ * The session owns both per-query steps of the serving tier: runQuery()
+ * (query window, plan replay, report, spans, rollback on failure) and
+ * runFusedBatch(), the only code that opens, folds and aborts a fused
+ * device window. ServingEngine replicas and the shards of a
+ * ShardedEngine serve through these two calls.
+ *
  * The session borrows the kernel's lowered module: the CompiledKernel
  * must outlive (and not be moved while used by) its sessions.
  */

@@ -26,12 +26,14 @@
  *    every query (the async front-end validates at admission);
  *    implementations may still re-check cheaply.
  *  - serveFusedChunk() serves queries [begin, end) inside one fused
- *    accounting window; on failure it must record NOTHING in stats()
- *    (the caller falls back to per-query serve()).
+ *    accounting window (per device, ExecutionSession::runFusedBatch
+ *    opens, folds and aborts it); on failure it must record NOTHING
+ *    in stats() (the caller falls back to per-query serve()).
  *  - With tracing enabled and a null span context, serve() owns the
  *    query's root "query" span; with a caller-provided context it
  *    parents its spans under ctx->parentSpanId instead and the caller
- *    owns the root.
+ *    owns the root. Spans are built with support::SpanContext
+ *    (newRoot / span / root), never filled field by field.
  *  - Every implementation must be thread-safe for concurrent serve
  *    calls (concurrency() says how many make progress in parallel).
  */

@@ -219,18 +219,23 @@ ServingEngine::serveFusedChunk(
         ctxs = &roots;
     }
 
-    // Stats and roots are recorded from the per-query host times only
-    // once the whole chunk succeeded.
+    // Stats are recorded from the per-query host times only once the
+    // whole chunk succeeded; owned roots are recorded on every exit
+    // (the queries that ran already recorded execute spans under them).
     std::vector<QueryHostTime> times;
     times.reserve(n);
+    auto record_roots = [&] {
+        for (std::size_t j = 0; j < times.size(); ++j)
+            trace_->record(roots[j].root(trace_->toUs(times[j].start),
+                                         trace_->toUs(times[j].done), k));
+    };
     Clock::time_point chunk_start = Clock::now();
     ExecutionSession *session = acquireSession();
     FusedBatchResult batch;
     try {
         batch = session->runFusedBatch(
             std::span(queries).subspan(begin, n),
-            ctxs ? std::span<const support::SpanContext>(*ctxs)
-                 : std::span<const support::SpanContext>(),
+            ctxs ? std::span(*ctxs) : std::span<const support::SpanContext>(),
             &times);
     } catch (...) {
         // The session aborted the fused window and nothing reached the
@@ -239,28 +244,20 @@ ServingEngine::serveFusedChunk(
         // double-count the served prefix.
         releaseSession(session);
         if (!roots.empty()) {
-            // The served prefix and the failed query already recorded
-            // execute spans under their root ids; record those roots
-            // so the trace stays parent-resolvable.
             double now_us = trace_->nowUs();
-            for (std::size_t j = 0; j < times.size(); ++j)
-                trace_->record(roots[j].root(trace_->toUs(times[j].start),
-                                             trace_->toUs(times[j].done),
-                                             k));
-            if (times.size() < n)
+            record_roots();
+            if (times.size() < n) // the query that failed
                 trace_->record(roots[times.size()].root(
                     trace_->toUs(chunk_start), now_us, k));
         }
         throw;
     }
     releaseSession(session);
-    for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j)
         recorder_->record(batch.results[j].perf, times[j].start,
                           times[j].done);
-        if (!roots.empty())
-            trace_->record(roots[j].root(trace_->toUs(times[j].start),
-                                         trace_->toUs(times[j].done), k));
-    }
+    if (!roots.empty())
+        record_roots();
     return batch;
 }
 

@@ -41,7 +41,10 @@
  * the parallel shard fan-out; the shards' execute/merge spans parent
  * under it) and a "shard-merge" child (the host-side k-way merge)
  * that tile the scatter+merge interval exactly -- the same
- * shared-time-point telescoping the other serving layers use.
+ * shared-time-point telescoping the other serving layers use. A
+ * query answered without a quarantined shard also gets a
+ * zero-duration "degraded" marker, on the single and fused paths
+ * alike (both run the same scatter step).
  *
  * Implements QueryBackend, so the async front-end serves through M
  * shards the same way it serves through one replica pool.
